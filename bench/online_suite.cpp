@@ -370,7 +370,7 @@ main(int argc, char **argv)
                 const std::vector<trace::Trace> &snap = snaps[w];
                 std::vector<int64_t> slos(snap.size(), slo);
                 results.push_back(
-                    pipeline.analyze(snap, slos, nullptr, cache));
+                    pipeline.analyze(snap, slos, {.cache = cache}));
             }
             double ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - t0)

@@ -1,16 +1,10 @@
-// Performance suite for the storm-pipeline hot paths reworked in the
-// perf PR: pairwise distance-matrix construction, end-to-end
-// SleuthPipeline::analyze on a trace storm, counterfactual RCA
-// throughput, and GNN training throughput.
-//
-// Each optimized path is timed against a faithful reimplementation of
-// the pre-optimization formulation (hash-map weighted Jaccard behind a
-// std::function oracle, oracle-recomputing representative selection
-// and far-member guard, full bottom-up propagation per counterfactual)
-// so the reported speedups compare against the real baseline rather
-// than a strawman. Results are written as machine-readable
+// Performance suite for the storm-pipeline hot paths: pairwise
+// distance-matrix construction, end-to-end SleuthPipeline::analyze on a
+// trace storm, counterfactual RCA throughput, and GNN training
+// throughput. Results are written as machine-readable
 // {metric, value, unit} rows to BENCH_pipeline.json (path overridable
-// via argv[1]).
+// via argv[1]). Verdict parity of the default path against a
+// caller-built Jaccard matrix is pinned by pipeline_test.
 
 #include <algorithm>
 #include <chrono>
@@ -21,10 +15,8 @@
 #include <limits>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "cluster/svdd.h"
 #include "core/pipeline.h"
 #include "core/trainer.h"
 #include "distance/distance_matrix.h"
@@ -63,105 +55,6 @@ bestOfMs(int reps, Fn &&fn)
         best = std::min(best, msSince(t0));
     }
     return best;
-}
-
-// ---------------------------------------------------------------------
-// Legacy reference: the pre-optimization hash-map weighted Jaccard and
-// the oracle-driven pipeline flow it powered.
-// ---------------------------------------------------------------------
-
-using LegacySpanSet = std::unordered_map<uint64_t, double>;
-
-LegacySpanSet
-toLegacy(const distance::WeightedSpanSet &s)
-{
-    return LegacySpanSet(s.begin(), s.end());
-}
-
-double
-legacyJaccard(const LegacySpanSet &a, const LegacySpanSet &b)
-{
-    double inter = 0.0;
-    double uni = 0.0;
-    for (const auto &[id, wa] : a) {
-        auto it = b.find(id);
-        double wb = it == b.end() ? 0.0 : it->second;
-        inter += std::min(wa, wb);
-        uni += std::max(wa, wb);
-    }
-    for (const auto &[id, wb] : b) {
-        if (!a.count(id))
-            uni += wb;
-    }
-    if (uni <= 0.0)
-        return 0.0;
-    return 1.0 - inter / uni;
-}
-
-/**
- * The pre-optimization analyze() flow: every consumer (clustering,
- * representative selection, far-member guard) addresses a type-erased
- * distance oracle that recomputes the hash-map Jaccard per call, and
- * every counterfactual re-runs the full bottom-up propagation.
- */
-PipelineResult
-legacyAnalyze(const SleuthGnn &model, FeatureEncoder &encoder,
-              const NormalProfile &profile, PipelineConfig config,
-              const std::vector<trace::Trace> &traces,
-              const std::vector<int64_t> &slos)
-{
-    std::vector<LegacySpanSet> sets;
-    sets.reserve(traces.size());
-    for (const trace::Trace &t : traces) {
-        trace::TraceGraph g = trace::TraceGraph::build(t);
-        sets.push_back(toLegacy(
-            distance::encodeSpanSet(t, g, config.distanceOpts)));
-    }
-    std::function<double(size_t, size_t)> dist =
-        [&sets](size_t a, size_t b) {
-            return legacyJaccard(sets[a], sets[b]);
-        };
-
-    PipelineResult out;
-    out.perTrace.resize(traces.size());
-    out.clusterLabels.assign(traces.size(), -1);
-    if (traces.empty())
-        return out;
-
-    config.rca.incrementalPropagation = false;
-    CounterfactualRca rca(model, encoder, profile, config.rca);
-
-    cluster::ClusterResult clusters =
-        config.algorithm == PipelineConfig::Algorithm::Hdbscan
-            ? cluster::hdbscan(traces.size(), dist, config.hdbscan)
-            : cluster::dbscan(traces.size(), dist, config.dbscan);
-    out.clusterLabels = clusters.labels;
-    out.numClusters = clusters.numClusters;
-
-    std::vector<size_t> reps = cluster::selectRepresentatives(
-        clusters.labels, clusters.numClusters, dist);
-    std::vector<bool> assigned(traces.size(), false);
-    for (int c = 0; c < clusters.numClusters; ++c) {
-        size_t rep = reps[static_cast<size_t>(c)];
-        RcaResult verdict = rca.analyze(traces[rep], slos[rep]);
-        ++out.rcaInvocations;
-        for (size_t i = 0; i < traces.size(); ++i) {
-            if (clusters.labels[i] != c)
-                continue;
-            if (config.maxRepresentativeDistance > 0.0 && i != rep &&
-                dist(i, rep) > config.maxRepresentativeDistance)
-                continue;
-            out.perTrace[i] = verdict;
-            assigned[i] = true;
-        }
-    }
-    for (size_t i = 0; i < traces.size(); ++i) {
-        if (!assigned[i]) {
-            out.perTrace[i] = rca.analyze(traces[i], slos[i]);
-            ++out.rcaInvocations;
-        }
-    }
-    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -269,32 +162,12 @@ main(int argc, char **argv)
         std::vector<distance::WeightedSpanSet> sets =
             encodeAll(traces);
         distance::DistanceMatrix m;
-        double new_ms = bestOfMs(3, [&] {
+        double ms = bestOfMs(3, [&] {
             m = distance::DistanceMatrix::fromSpanSets(sets);
         });
-
-        std::vector<LegacySpanSet> legacy;
-        legacy.reserve(sets.size());
-        for (const auto &s : sets)
-            legacy.push_back(toLegacy(s));
-        double sink = 0.0;
-        double legacy_ms = bestOfMs(3, [&] {
-            for (size_t i = 1; i < n; ++i)
-                for (size_t j = 0; j < i; ++j)
-                    sink += legacyJaccard(legacy[i], legacy[j]);
-        });
-        // Keep the compiler from discarding the legacy loop.
-        if (sink < 0.0)
-            std::printf("unreachable %f\n", sink);
-
-        std::string prefix =
-            "distance_matrix_" + std::to_string(n);
-        rows.push_back({prefix + "_ms", new_ms, "ms"});
-        rows.push_back({prefix + "_legacy_ms", legacy_ms, "ms"});
-        rows.push_back({prefix + "_speedup", legacy_ms / new_ms, "x"});
-        std::printf(
-            "distance matrix n=%zu: %.2f ms (legacy %.2f ms, %.2fx)\n",
-            n, new_ms, legacy_ms, legacy_ms / new_ms);
+        rows.push_back(
+            {"distance_matrix_" + std::to_string(n) + "_ms", ms, "ms"});
+        std::printf("distance matrix n=%zu: %.2f ms\n", n, ms);
         SLEUTH_ASSERT(m.size() == n, "distance matrix size");
     }
 
@@ -305,12 +178,12 @@ main(int argc, char **argv)
         PipelineConfig cfg;
         SleuthPipeline pipeline(model, encoder, profile, cfg);
 
-        // Warm the encoder's embedding cache so neither path pays
+        // Warm the encoder's embedding cache so the timed runs pay no
         // first-touch costs.
         PipelineResult warm = pipeline.analyze(storm256, slos);
 
         PipelineResult res;
-        double new_ms = bestOfMs(
+        double ms = bestOfMs(
             3, [&] { res = pipeline.analyze(storm256, slos); });
         if (std::getenv("SLEUTH_STAGE_PROBE")) {
             std::string text = obs::renderText();
@@ -324,38 +197,21 @@ main(int argc, char **argv)
             }
         }
 
-        PipelineResult legacy_res;
-        double legacy_ms = bestOfMs(3, [&] {
-            legacy_res = legacyAnalyze(model, encoder, profile, cfg,
-                                       storm256, slos);
-        });
-
         SLEUTH_ASSERT(res.perTrace.size() == storm256.size(),
                       "result size");
-        SLEUTH_ASSERT(res.rcaInvocations == legacy_res.rcaInvocations,
-                      "rca invocation parity");
         SLEUTH_ASSERT(res.distanceEvaluations ==
                           storm256.size() * (storm256.size() - 1) / 2,
                       "distance evaluation count");
-        for (size_t i = 0; i < res.perTrace.size(); ++i)
-            SLEUTH_ASSERT(res.perTrace[i].services ==
-                              legacy_res.perTrace[i].services,
-                          "verdict parity at trace ", i);
         (void)warm;
 
-        rows.push_back({"e2e_analyze_256_ms", new_ms, "ms"});
-        rows.push_back(
-            {"e2e_analyze_256_legacy_ms", legacy_ms, "ms"});
-        rows.push_back(
-            {"e2e_analyze_256_speedup", legacy_ms / new_ms, "x"});
+        rows.push_back({"e2e_analyze_256_ms", ms, "ms"});
         rows.push_back({"e2e_analyze_256_distance_evals",
                         static_cast<double>(res.distanceEvaluations),
                         "pairs"});
         std::printf(
-            "e2e analyze n=256: %.1f ms (legacy %.1f ms, %.2fx), "
-            "%d clusters, %zu rca invocations\n",
-            new_ms, legacy_ms, legacy_ms / new_ms, res.numClusters,
-            res.rcaInvocations);
+            "e2e analyze n=256: %.1f ms, %d clusters, %zu rca "
+            "invocations\n",
+            ms, res.numClusters, res.rcaInvocations);
     }
 
     // --- (c) Pre-pruned end-to-end analysis, 256 traces. The
@@ -381,7 +237,7 @@ main(int argc, char **argv)
         });
         PipelineResult res;
         double apply_ms = bestOfMs(3, [&] {
-            res = pipeline.analyzeWithPlan(storm256, slos, plan);
+            res = pipeline.analyze(storm256, slos, {.plan = &plan});
         });
         double pruned_ms = plan_ms + apply_ms;
         (void)warm;
@@ -591,28 +447,6 @@ main(int argc, char **argv)
                     "%zu flow shapes in %.1f ms\n",
                     stats.tracesUsed, stats.spans,
                     inferred.services.size(), stats.flowShapes, ms);
-    }
-
-    // --- (h) Int8 quantized embedding distance (ablation). ---
-    // Not a like-for-like speedup row: the distance itself changes
-    // (1 − int8 cosine instead of weighted Jaccard, ~0.02 tolerance),
-    // so this records the ablation's cost next to the default path.
-    {
-        std::vector<int64_t> slos(storm256.size(),
-                                  stormSlo(storm256));
-        PipelineConfig cfg;
-        cfg.traceDistance =
-            PipelineConfig::TraceDistanceKind::EmbeddingCosineInt8;
-        SleuthPipeline pipeline(model, encoder, profile, cfg);
-        PipelineResult res = pipeline.analyze(storm256, slos);
-        double ms = bestOfMs(
-            3, [&] { res = pipeline.analyze(storm256, slos); });
-        SLEUTH_ASSERT(res.perTrace.size() == storm256.size(),
-                      "int8 ablation result size");
-        rows.push_back({"e2e_analyze_256_int8dist_ms", ms, "ms"});
-        std::printf("e2e analyze n=256 int8 distance: %.1f ms, "
-                    "%d clusters\n",
-                    ms, res.numClusters);
     }
 
     // --- SIMD dispatch provenance for this run. ---

@@ -513,17 +513,15 @@ checkSkippedAccounting(const ScenarioRun &run, const CheckContext &ctx)
         return fail("well-formed traces were disturbed by malformed "
                     "batch mates: " + diff);
 
-    // Distance accounting must exclude malformed rows on the
-    // caller-provided-distance path too (the analyzeWithMatrix /
-    // analyzeWithDistance contract).
+    // Distance accounting must exclude malformed rows when a
+    // caller-built matrix covers them too.
     core::SleuthPipeline pipeline(run.adapter->model(),
                                   run.adapter->encoder(),
                                   run.adapter->profile(), cfg);
-    std::function<double(size_t, size_t)> flat = [](size_t, size_t) {
-        return 0.3;
-    };
+    distance::DistanceMatrix flat = distance::DistanceMatrix::compute(
+        batch.size(), [](size_t, size_t) { return 0.3; });
     core::PipelineResult via_matrix =
-        pipeline.analyzeWithDistance(batch, batch_slos, flat);
+        pipeline.analyze(batch, batch_slos, {.distance = &flat});
     size_t expected_evals =
         cfg.clustering ? n * (n > 0 ? n - 1 : 0) / 2 : 0;
     if (via_matrix.skippedTraces != k)
@@ -801,6 +799,37 @@ buildStormTimeline(const ScenarioRun &run)
     return tl;
 }
 
+/**
+ * Deliver a slice of the storm with `threads` striding producers —
+ * thread t ingests every threads-th delivery from t; one thread
+ * ingests in order — shifting every span by shiftUs in time.
+ */
+void
+deliverStorm(online::OnlineService *service,
+             const std::vector<StormDelivery> &deliveries,
+             size_t threads, int64_t shiftUs = 0)
+{
+    auto deliver = [&](size_t i) {
+        online::SpanEvent ev = deliveries[i].event;
+        ev.span.startUs += shiftUs;
+        ev.span.endUs += shiftUs;
+        service->ingest(ev);
+    };
+    if (threads <= 1) {
+        for (size_t i = 0; i < deliveries.size(); ++i)
+            deliver(i);
+        return;
+    }
+    std::vector<std::thread> workers;
+    for (size_t t = 0; t < threads; ++t)
+        workers.emplace_back([&, t] {
+            for (size_t i = t; i < deliveries.size(); i += threads)
+                deliver(i);
+        });
+    for (std::thread &w : workers)
+        w.join();
+}
+
 InvariantResult
 checkOnlineDifferential(const ScenarioRun &run, const CheckContext &)
 {
@@ -842,26 +871,7 @@ checkOnlineDifferential(const ScenarioRun &run, const CheckContext &)
         online::OnlineService service(run.adapter->model(),
                                       run.adapter->encoder(),
                                       run.adapter->profile(), use_cfg);
-        auto deliver = [&](const StormDelivery &d) {
-            online::SpanEvent ev = d.event;
-            ev.span.startUs += shift;
-            ev.span.endUs += shift;
-            service.ingest(ev);
-        };
-        if (threads == 1) {
-            for (const StormDelivery &d : deliveries)
-                deliver(d);
-        } else {
-            std::vector<std::thread> workers;
-            for (size_t t = 0; t < threads; ++t)
-                workers.emplace_back([&, t] {
-                    for (size_t i = t; i < deliveries.size();
-                         i += threads)
-                        deliver(deliveries[i]);
-                });
-            for (std::thread &w : workers)
-                w.join();
-        }
+        deliverStorm(&service, deliveries, threads, shift);
         service.poll(poll_at + shift);
         if (service.incidents().empty() && !allow_no_incident)
             return fail(label + "online layer opened no incident over "
@@ -1019,27 +1029,6 @@ struct TempDir
     TempDir(const TempDir &) = delete;
     TempDir &operator=(const TempDir &) = delete;
 };
-
-/** Deliver a slice of the storm with `threads` striding producers. */
-void
-deliverStorm(online::OnlineService *service,
-             const std::vector<StormDelivery> &deliveries,
-             size_t threads)
-{
-    if (threads <= 1) {
-        for (const StormDelivery &d : deliveries)
-            service->ingest(d.event);
-        return;
-    }
-    std::vector<std::thread> workers;
-    for (size_t t = 0; t < threads; ++t)
-        workers.emplace_back([&, t] {
-            for (size_t i = t; i < deliveries.size(); i += threads)
-                service->ingest(deliveries[i].event);
-        });
-    for (std::thread &w : workers)
-        w.join();
-}
 
 InvariantResult
 checkCrashRecovery(const ScenarioRun &run, const CheckContext &ctx)
@@ -1428,7 +1417,7 @@ checkDropAccounting(const ScenarioRun &run, const CheckContext &)
     // default (the ring-full leg below overrides this downward).
     base.ringCapacitySpans = 4096;
 
-    std::vector<online::SpanEvent> events;
+    std::vector<StormDelivery> events;
     int64_t last_end = 0;
     for (size_t i = 0; i < run.traces.size(); ++i) {
         int64_t shift = static_cast<int64_t>(i) * 10'000;
@@ -1436,7 +1425,9 @@ checkDropAccounting(const ScenarioRun &run, const CheckContext &)
             span.startUs += shift;
             span.endUs += shift;
             last_end = std::max(last_end, span.endUs);
-            events.push_back({run.traces[i].traceId, span});
+            events.push_back(
+                {span.endUs,
+                 online::SpanEvent{run.traces[i].traceId, span}});
             // Every third span is delivered twice so the duplicate
             // reason participates in the ledger (and, when the budget
             // is 1, guarantees some shard holds two spans and sheds).
@@ -1486,20 +1477,7 @@ checkDropAccounting(const ScenarioRun &run, const CheckContext &)
                                           run.adapter->encoder(),
                                           run.adapter->profile(),
                                           leg.cfg);
-            if (threads == 1) {
-                for (const online::SpanEvent &ev : events)
-                    service.ingest(ev);
-            } else {
-                std::vector<std::thread> workers;
-                for (size_t t = 0; t < threads; ++t)
-                    workers.emplace_back([&, t] {
-                        for (size_t i = t; i < events.size();
-                             i += threads)
-                            service.ingest(events[i]);
-                    });
-                for (std::thread &w : workers)
-                    w.join();
-            }
+            deliverStorm(&service, events, threads);
             service.poll(poll_at);
             online::OnlineStats stats = service.stats();
             size_t backlog = service.backlogSpans();
@@ -1707,7 +1685,7 @@ checkPrunedVsFull(const ScenarioRun &run, const CheckContext &ctx)
                        cand.end());
     }
     core::PipelineResult pruned =
-        pipeline.analyzeWithPlan(run.traces, run.slos, plan);
+        pipeline.analyze(run.traces, run.slos, {.plan = &plan});
     std::string diff = diffResults(full, pruned);
     if (!diff.empty())
         return fail("conservative pruned run diverges from the full "
@@ -1754,7 +1732,7 @@ checkPrunedVsFull(const ScenarioRun &run, const CheckContext &ctx)
                         " carries candidates");
     }
     core::PipelineResult agg =
-        pipeline.analyzeWithPlan(run.traces, run.slos, cut);
+        pipeline.analyze(run.traces, run.slos, {.plan = &cut});
     if (agg.prunedTraces != n - kept)
         return fail("aggressive run prunedTraces=" +
                     std::to_string(agg.prunedTraces) + ", expected " +
@@ -1789,14 +1767,14 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
 
     core::PipelineCache cache;
     core::PipelineResult cold =
-        pipeline.analyze(run.traces, run.slos, nullptr, &cache);
+        pipeline.analyze(run.traces, run.slos, {.cache = &cache});
     std::string diff = diffResults(fresh, cold);
     if (!diff.empty())
         return fail("cold-cache run diverges from the cache-free "
                     "run: " + diff);
 
     core::PipelineResult warm =
-        pipeline.analyze(run.traces, run.slos, nullptr, &cache);
+        pipeline.analyze(run.traces, run.slos, {.cache = &cache});
     diff = diffResults(fresh, warm);
     if (!diff.empty())
         return fail("warm-cache re-poll diverges from the full "
@@ -1818,23 +1796,20 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
         std::vector<int64_t> head_slos(run.slos.begin(),
                                        run.slos.begin() +
                                            static_cast<long>(half));
-        pipeline.analyze(head, head_slos, nullptr, &grow_cache);
+        pipeline.analyze(head, head_slos, {.cache = &grow_cache});
         core::PipelineResult inc = pipeline.analyze(
-            run.traces, run.slos, nullptr, &grow_cache);
+            run.traces, run.slos, {.cache = &grow_cache});
         diff = diffResults(fresh, inc);
         if (!diff.empty())
             return fail("growing-window re-poll diverges from the "
                         "full recompute: " + diff);
-        // With the default Jaccard distance, clustering on, and every
-        // trace well-formed, the grown poll must actually take the
+        // With clustering on, pruning off, and every trace
+        // well-formed, the grown poll must actually take the
         // matrix-prefix fast path (half >= 2 guarantees the head
         // stored a matrix).
         bool prefix_expected =
             cfg.clustering && half >= 2 &&
             cfg.prune.mode == core::PruneConfig::Mode::Off &&
-            cfg.traceDistance ==
-                core::PipelineConfig::TraceDistanceKind::
-                    WeightedJaccard &&
             fresh.skippedTraces == 0;
         if (prefix_expected &&
             grow_cache.stats().matrixPrefixHits == 0)
@@ -1852,7 +1827,7 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
                                        run.slos.end());
         core::PipelineCache::Stats before = cache.stats();
         core::PipelineResult inc =
-            pipeline.analyze(slid, slid_slos, nullptr, &cache);
+            pipeline.analyze(slid, slid_slos, {.cache = &cache});
         diff = diffResults(run.analyzeBatch(cfg, slid, slid_slos),
                            inc);
         if (!diff.empty())
@@ -1873,7 +1848,7 @@ checkIncrementalRepoll(const ScenarioRun &run, const CheckContext &)
         mutated[0].spans[0].endUs += 1;
         size_t before_inval = cache.stats().invalidations;
         core::PipelineResult inc =
-            pipeline.analyze(mutated, run.slos, nullptr, &cache);
+            pipeline.analyze(mutated, run.slos, {.cache = &cache});
         diff = diffResults(run.analyzeBatch(cfg, mutated, run.slos),
                            inc);
         if (!diff.empty())

@@ -1,14 +1,12 @@
 #include "pipeline.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
 
 #include "cluster/svdd.h"
 #include "core/pipeline_cache.h"
 #include "obs/metrics.h"
-#include "util/simd.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -42,7 +40,7 @@ stageHistogram(Stage stage)
     util::panic("invalid pipeline stage");
 }
 
-/** Batch entry accounting shared by the analyze* entry points. */
+/** Batch entry accounting for analyze(). */
 void
 countBatch(size_t traces)
 {
@@ -80,44 +78,6 @@ candidateHash(const std::vector<std::string> &list)
     for (const std::string &s : list)
         h = hashCombine(h, util::fnv1a(s));
     return h;
-}
-
-/**
- * Int8 trace signature for the quantization ablation: the L2-normalized
- * sum of each span's semantic embedding, quantized to int8. The sum and
- * normalization use only elementwise kernels (bitwise-stable under any
- * SIMD dispatch) and a strictly sequential norm reduction, so the
- * signature — and every distance derived from it, being an exact
- * integer dot — is independent of ISA and thread count.
- */
-embed::QuantizedEmbedding
-traceSignature(const trace::Trace &t, FeatureEncoder &enc)
-{
-    embed::TextEmbedder &emb = enc.embedder();
-    const size_t dim = emb.dim();
-    std::vector<double> acc(dim, 0.0);
-    for (const trace::Span &s : t.spans) {
-        const std::vector<double> &e =
-            emb.embed(s.service + " " + s.name + " " + toString(s.kind));
-        simd::add(acc.data(), e.data(), dim);
-    }
-    double norm2 = 0.0;
-    for (double v : acc)
-        norm2 += v * v;
-    if (norm2 > 0.0)
-        simd::div(acc.data(), std::sqrt(norm2), dim);
-    return embed::TextEmbedder::quantize(acc);
-}
-
-/** Packed 1 − cosine matrix over int8 signatures (exact integer math). */
-distance::DistanceMatrix
-int8DistanceMatrix(const std::vector<embed::QuantizedEmbedding> &sigs)
-{
-    return distance::DistanceMatrix::compute(
-        sigs.size(), [&](size_t i, size_t j) {
-            return std::max(0.0, 1.0 - embed::TextEmbedder::cosineQuantized(
-                                           sigs[i], sigs[j]));
-        });
 }
 
 /**
@@ -230,12 +190,6 @@ struct SleuthPipeline::Engine
     {
         return worker == 0 ? rca0 : extra[worker - 1]->rca;
     }
-
-    FeatureEncoder &
-    encoderFor(size_t worker)
-    {
-        return worker == 0 ? encoder0 : extra[worker - 1]->encoder;
-    }
 };
 
 SleuthPipeline::SleuthPipeline(const SleuthGnn &model,
@@ -249,546 +203,276 @@ SleuthPipeline::SleuthPipeline(const SleuthGnn &model,
 
 PipelineResult
 SleuthPipeline::analyze(const std::vector<trace::Trace> &traces,
-                        const std::vector<int64_t> &slos) const
-{
-    return analyze(traces, slos, nullptr, nullptr);
-}
-
-PipelineResult
-SleuthPipeline::analyze(const std::vector<trace::Trace> &traces,
                         const std::vector<int64_t> &slos,
-                        const PruneSignals *signals,
-                        PipelineCache *cache) const
-{
-    SLEUTH_ASSERT(traces.size() == slos.size(),
-                  "trace/slo count mismatch");
-    if (config_.prune.mode != PruneConfig::Mode::Off) {
-        RcaPruner pruner(profile_, config_.prune, config_.rca);
-        PrunePlan plan = pruner.plan(
-            traces, slos, signals != nullptr ? *signals : PruneSignals{});
-        return analyzeWithPlan(traces, slos, plan, cache);
-    }
-    countBatch(traces.size());
-    std::vector<const trace::Trace *> ptrs(traces.size());
-    for (size_t i = 0; i < traces.size(); ++i)
-        ptrs[i] = &traces[i];
-    return analyzeImpl(ptrs, slos, nullptr, cache);
-}
-
-PipelineResult
-SleuthPipeline::analyzeWithPlan(const std::vector<trace::Trace> &traces,
-                                const std::vector<int64_t> &slos,
-                                const PrunePlan &plan,
-                                PipelineCache *cache) const
+                        const AnalysisInputs &in) const
 {
     const size_t n = traces.size();
     SLEUTH_ASSERT(slos.size() == n, "trace/slo count mismatch");
-    SLEUTH_ASSERT(plan.keep.size() == n && plan.inheritFrom.size() == n &&
-                      plan.restricted.size() == n &&
-                      plan.candidates.size() == n,
-                  "prune plan / trace count mismatch");
+    SLEUTH_ASSERT(in.distance == nullptr || in.distance->size() == n,
+                  "distance matrix / trace count mismatch");
+    SLEUTH_ASSERT(in.distance == nullptr || in.cache == nullptr,
+                  "the pipeline cache keys distances by span-set "
+                  "encoding; it cannot pair with a caller matrix");
     countBatch(n);
+    PipelineCache *cache = in.cache;
 
+    // The caller's prune plan, else one computed when pruning is on.
+    PrunePlan computed;
+    const PrunePlan *plan = in.plan;
+    if (plan == nullptr && config_.prune.mode != PruneConfig::Mode::Off) {
+        RcaPruner pruner(profile_, config_.prune, config_.rca);
+        computed = pruner.plan(
+            traces, slos,
+            in.signals != nullptr ? *in.signals : PruneSignals{});
+        plan = &computed;
+    }
+    SLEUTH_ASSERT(plan == nullptr ||
+                      (plan->keep.size() == n &&
+                       plan->inheritFrom.size() == n &&
+                       plan->restricted.size() == n &&
+                       plan->candidates.size() == n),
+                  "prune plan / trace count mismatch");
+    auto allowedFor = [&](size_t i) -> const std::vector<std::string> * {
+        return plan != nullptr && plan->restricted[i] ? &plan->candidates[i]
+                                                      : nullptr;
+    };
     std::vector<size_t> kept;
     kept.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        if (plan.keep[i])
-            kept.push_back(i);
-
-    std::vector<const trace::Trace *> ptrs;
-    std::vector<int64_t> sub_slos;
-    AllowedLists sub_allowed;
-    ptrs.reserve(kept.size());
-    sub_slos.reserve(kept.size());
-    sub_allowed.reserve(kept.size());
-    bool any_restricted = false;
-    for (size_t i : kept) {
-        ptrs.push_back(&traces[i]);
-        sub_slos.push_back(slos[i]);
-        sub_allowed.push_back(plan.restricted[i] ? &plan.candidates[i]
-                                                 : nullptr);
-        any_restricted |= plan.restricted[i] != 0;
-    }
-    PipelineResult sub = analyzeImpl(
-        ptrs, sub_slos, any_restricted ? &sub_allowed : nullptr, cache);
-
-    PipelineResult out;
-    out.perTrace.resize(n);
-    out.clusterLabels.assign(n, -1);
-    out.numClusters = sub.numClusters;
-    out.rcaInvocations = sub.rcaInvocations;
-    out.distanceEvaluations = sub.distanceEvaluations;
-    out.skippedTraces = sub.skippedTraces;
-    for (size_t k = 0; k < kept.size(); ++k) {
-        out.perTrace[kept[k]] = std::move(sub.perTrace[k]);
-        out.clusterLabels[kept[k]] = sub.clusterLabels[k];
-    }
-    for (size_t i = 0; i < n; ++i) {
-        if (plan.keep[i])
-            continue;
-        int ex = plan.inheritFrom[i];
-        SLEUTH_ASSERT(ex >= 0 && static_cast<size_t>(ex) < n &&
-                          plan.keep[static_cast<size_t>(ex)],
-                      "pruned trace must inherit from a kept exemplar");
-        out.perTrace[i] = out.perTrace[static_cast<size_t>(ex)];
-        out.clusterLabels[i] = out.clusterLabels[static_cast<size_t>(ex)];
-        ++out.prunedTraces;
-    }
-    out.pruneTraceKeepRatio = plan.traceKeepRatio();
-    out.pruneServiceKeepRatio = plan.serviceKeepRatio();
-    static obs::Counter &pruned = obs::counter(
-        "sleuth_pipeline_pruned_traces_total",
-        "Traces whose verdict was inherited from a prune exemplar");
-    pruned.add(out.prunedTraces);
-    return out;
-}
-
-PipelineResult
-SleuthPipeline::analyzeImpl(
-    const std::vector<const trace::Trace *> &traces,
-    const std::vector<int64_t> &slos, const AllowedLists *allowed,
-    PipelineCache *cache) const
-{
-    SLEUTH_ASSERT(traces.size() == slos.size(),
-                  "trace/slo count mismatch");
-    SLEUTH_ASSERT(allowed == nullptr || allowed->size() == traces.size(),
-                  "candidate filter / trace count mismatch");
-    const size_t n = traces.size();
-    const bool int8dist =
-        config_.traceDistance ==
-        PipelineConfig::TraceDistanceKind::EmbeddingCosineInt8;
-    if (int8dist)
-        cache = nullptr; // pair cache keys require span-set encodings
-    Engine engine(*this);
-
     std::vector<uint64_t> candHashes(n, 0);
-    if (allowed != nullptr)
-        for (size_t i = 0; i < n; ++i)
-            if ((*allowed)[i] != nullptr)
-                candHashes[i] = candidateHash(*(*allowed)[i]);
+    for (size_t i = 0; i < n; ++i) {
+        if (plan != nullptr && !plan->keep[i])
+            continue;
+        kept.push_back(i);
+        if (allowedFor(i) != nullptr)
+            candHashes[i] = candidateHash(*allowedFor(i));
+    }
+    if (plan != nullptr) {
+        static obs::Counter &pruned = obs::counter(
+            "sleuth_pipeline_pruned_traces_total",
+            "Traces whose verdict was inherited from a prune exemplar");
+        pruned.add(n - kept.size());
+    }
+    Engine engine(*this);
 
     // Content fingerprints drive every cache key; the whole-batch fast
     // path makes an unchanged snapshot cost one hash pass + one lookup.
-    std::vector<uint64_t> fps;
+    // A pruned trace enters the batch key through its exemplar alone.
+    std::vector<uint64_t> fps(cache != nullptr ? n : 0);
     uint64_t batchKey = 0;
     if (cache != nullptr) {
-        fps.resize(n);
-        engine.pool.parallelFor(n, [&](size_t i, size_t) {
-            fps[i] = PipelineCache::fingerprint(*traces[i]);
+        engine.pool.parallelFor(kept.size(), [&](size_t k, size_t) {
+            fps[kept[k]] = PipelineCache::fingerprint(traces[kept[k]]);
         });
         cache->beginBatch();
         batchKey = hashCombine(0x5ba7c45eull, n);
         for (size_t i = 0; i < n; ++i) {
+            if (plan != nullptr && !plan->keep[i]) {
+                batchKey = hashCombine(
+                    batchKey, static_cast<uint64_t>(plan->inheritFrom[i]));
+                continue;
+            }
             batchKey = hashCombine(batchKey, fps[i]);
             batchKey =
                 hashCombine(batchKey, static_cast<uint64_t>(slos[i]));
             batchKey = hashCombine(batchKey, candHashes[i]);
         }
+        if (plan != nullptr)
+            for (size_t v : {plan->tracesTotal, plan->tracesKept,
+                             plan->servicesTotal, plan->servicesKept})
+                batchKey = hashCombine(batchKey, v);
         if (const PipelineResult *hit = cache->lookupBatch(batchKey))
             return *hit;
     }
 
-    PipelineResult out = [&]() -> PipelineResult {
-        if (!config_.clustering)
-            return analyzeIndividualImpl(traces, slos, allowed, cache,
-                                         fps, candHashes, engine);
-
-        // Default distance: weighted-Jaccard over encoded span sets,
-        // pre-encoded once per trace, then memoized into one packed
-        // matrix per batch (paper Eq. 1). Encoding validates each
-        // trace; malformed ones are compacted out so they neither
-        // crash the batch nor distort clustering. A cached encoding
-        // implies the trace was well-formed last time it was seen, so
-        // hits skip validation too.
-        std::vector<std::string> errors(n);
-        std::vector<distance::WeightedSpanSet> sets(int8dist ? 0 : n);
-        std::vector<embed::QuantizedEmbedding> sigs(int8dist ? n : 0);
-        std::vector<uint32_t> encIds(cache != nullptr ? n : 0);
-        std::vector<char> needEncode(n, 1);
-        if (cache != nullptr) {
-            for (size_t i = 0; i < n; ++i) {
-                const distance::WeightedSpanSet *hit =
-                    cache->lookupEncoding(traces[i]->traceId, fps[i],
-                                          &encIds[i]);
-                if (hit != nullptr) {
-                    sets[i] = *hit;
-                    needEncode[i] = 0;
-                }
+    // Validate every kept trace, encoding its span set in the same pass
+    // when the pipeline builds its own weighted-Jaccard matrix (paper
+    // Eq. 1). A cached encoding implies the trace was well-formed when
+    // it was stored, so hits skip validation too.
+    const bool encode = config_.clustering && in.distance == nullptr;
+    std::vector<std::string> errors(n);
+    std::vector<distance::WeightedSpanSet> sets(encode ? n : 0);
+    std::vector<uint32_t> encIds(encode && cache != nullptr ? n : 0);
+    std::vector<char> fromCache(n, 0);
+    if (encode && cache != nullptr)
+        for (size_t i : kept)
+            if (const distance::WeightedSpanSet *hit = cache->lookupEncoding(
+                    traces[i].traceId, fps[i], &encIds[i])) {
+                sets[i] = *hit;
+                fromCache[i] = 1;
             }
-        }
-        {
-            obs::ScopedTimer timer(stageHistogram(Stage::Encode));
-            engine.pool.parallelFor(n, [&](size_t i, size_t w) {
-                if (!needEncode[i])
-                    return;
-                trace::TraceGraph g;
-                std::string err;
-                if (!trace::TraceGraph::tryBuild(*traces[i], &g,
-                                                 &err)) {
-                    errors[i] = err;
-                    return;
-                }
-                // Per-worker encoders: the embedding is a pure
-                // function of the string, so private caches change
-                // cost, not results.
-                if (int8dist)
-                    sigs[i] =
-                        traceSignature(*traces[i], engine.encoderFor(w));
-                else
-                    sets[i] = distance::encodeSpanSet(
-                        *traces[i], g, config_.distanceOpts);
-            });
-        }
-        if (cache != nullptr)
-            for (size_t i = 0; i < n; ++i)
-                if (needEncode[i] && errors[i].empty())
-                    cache->storeEncoding(traces[i]->traceId, fps[i],
-                                         sets[i], &encIds[i]);
-
-        std::vector<size_t> valid;
-        valid.reserve(n);
-        for (size_t i = 0; i < n; ++i)
-            if (errors[i].empty())
-                valid.push_back(i);
-
-        if (valid.size() == n) {
-            distance::DistanceMatrix dist = [&] {
-                obs::ScopedTimer timer(stageHistogram(Stage::Distance));
-                return int8dist
-                           ? int8DistanceMatrix(sigs)
-                           : cachedDistanceMatrix(sets, encIds, cache,
-                                                  engine.pool);
-            }();
-            return analyzeCore(traces, slos, dist, errors, engine,
-                               allowed, cache, fps, candHashes);
-        }
-
-        // Compact the well-formed subset, analyze it, scatter back.
-        std::vector<const trace::Trace *> ptrs;
-        std::vector<int64_t> sub_slos;
-        std::vector<distance::WeightedSpanSet> sub_sets;
-        std::vector<embed::QuantizedEmbedding> sub_sigs;
-        AllowedLists sub_allowed;
-        std::vector<uint64_t> sub_fps;
-        std::vector<uint64_t> sub_ch;
-        std::vector<uint32_t> sub_enc;
-        ptrs.reserve(valid.size());
-        sub_slos.reserve(valid.size());
-        sub_sets.reserve(int8dist ? 0 : valid.size());
-        sub_sigs.reserve(int8dist ? valid.size() : 0);
-        for (size_t i : valid) {
-            ptrs.push_back(traces[i]);
-            sub_slos.push_back(slos[i]);
-            if (int8dist)
-                sub_sigs.push_back(std::move(sigs[i]));
-            else
-                sub_sets.push_back(std::move(sets[i]));
-            if (allowed != nullptr)
-                sub_allowed.push_back((*allowed)[i]);
-            if (cache != nullptr) {
-                sub_fps.push_back(fps[i]);
-                sub_ch.push_back(candHashes[i]);
-                sub_enc.push_back(encIds[i]);
-            }
-        }
-        distance::DistanceMatrix sub_dist = [&] {
-            obs::ScopedTimer timer(stageHistogram(Stage::Distance));
-            return int8dist ? int8DistanceMatrix(sub_sigs)
-                            : cachedDistanceMatrix(sub_sets, sub_enc,
-                                                   cache, engine.pool);
-        }();
-        PipelineResult sub = analyzeCore(
-            ptrs, sub_slos, sub_dist,
-            std::vector<std::string>(valid.size()), engine,
-            allowed != nullptr ? &sub_allowed : nullptr, cache,
-            sub_fps, sub_ch);
-
-        PipelineResult scattered;
-        scattered.perTrace.resize(n);
-        scattered.clusterLabels.assign(n, -1);
-        scattered.numClusters = sub.numClusters;
-        scattered.rcaInvocations = sub.rcaInvocations;
-        scattered.distanceEvaluations = sub.distanceEvaluations;
-        scattered.skippedTraces = n - valid.size();
-        for (size_t k = 0; k < valid.size(); ++k) {
-            scattered.perTrace[valid[k]] = std::move(sub.perTrace[k]);
-            scattered.clusterLabels[valid[k]] = sub.clusterLabels[k];
-        }
-        for (size_t i = 0; i < n; ++i)
-            if (!errors[i].empty())
-                scattered.perTrace[i] = errorVerdict(errors[i]);
-        return scattered;
-    }();
-    if (cache != nullptr)
-        cache->storeBatch(batchKey, out);
-    return out;
-}
-
-PipelineResult
-SleuthPipeline::analyzeWithDistance(
-    const std::vector<trace::Trace> &traces,
-    const std::vector<int64_t> &slos,
-    const std::function<double(size_t, size_t)> &dist) const
-{
-    if (!config_.clustering) {
-        countBatch(traces.size());
-        std::vector<const trace::Trace *> ptrs(traces.size());
-        for (size_t i = 0; i < traces.size(); ++i)
-            ptrs[i] = &traces[i];
-        Engine engine(*this);
-        return analyzeIndividualImpl(ptrs, slos, nullptr, nullptr, {},
-                                     {}, engine);
-    }
-    return analyzeWithMatrix(
-        traces, slos,
-        distance::DistanceMatrix::compute(traces.size(), dist));
-}
-
-PipelineResult
-SleuthPipeline::analyzeIndividualImpl(
-    const std::vector<const trace::Trace *> &traces,
-    const std::vector<int64_t> &slos, const AllowedLists *allowed,
-    PipelineCache *cache, const std::vector<uint64_t> &fps,
-    const std::vector<uint64_t> &candHashes, Engine &engine) const
-{
-    const size_t n = traces.size();
-    PipelineResult out;
-    out.perTrace.resize(n);
-    out.clusterLabels.assign(n, -1);
-
-    // Cached verdicts first: a stored verdict with a matching
-    // fingerprint implies the trace was well-formed, so hits also skip
-    // re-validation.
-    std::vector<char> done(n, 0);
-    if (cache != nullptr) {
-        for (size_t i = 0; i < n; ++i) {
-            const RcaResult *hit = cache->lookupVerdict(
-                traces[i]->traceId, fps[i], slos[i], candHashes[i]);
-            if (hit != nullptr) {
-                out.perTrace[i] = *hit;
-                done[i] = 1;
-            }
-        }
-    }
-    std::vector<size_t> todo;
-    todo.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        if (!done[i])
-            todo.push_back(i);
-    std::vector<std::string> errors(todo.size());
-    engine.pool.parallelFor(todo.size(), [&](size_t k, size_t) {
-        trace::TraceGraph g;
-        std::string err;
-        if (!trace::TraceGraph::tryBuild(*traces[todo[k]], &g, &err))
-            errors[k] = err;
-    });
-    std::vector<size_t> runnable;
-    runnable.reserve(todo.size());
-    for (size_t k = 0; k < todo.size(); ++k) {
-        if (errors[k].empty()) {
-            runnable.push_back(todo[k]);
-        } else {
-            out.perTrace[todo[k]] = errorVerdict(errors[k]);
-            ++out.skippedTraces;
-        }
-    }
     {
-        obs::ScopedTimer timer(stageHistogram(Stage::Rca));
-        engine.pool.parallelFor(runnable.size(), [&](size_t k,
-                                                     size_t w) {
-            size_t i = runnable[k];
-            out.perTrace[i] = engine.rcaFor(w).analyze(
-                *traces[i], slos[i],
-                allowed != nullptr ? (*allowed)[i] : nullptr);
+        obs::ScopedTimer timer(stageHistogram(Stage::Encode));
+        engine.pool.parallelFor(kept.size(), [&](size_t k, size_t) {
+            const size_t i = kept[k];
+            if (fromCache[i])
+                return;
+            trace::TraceGraph g;
+            std::string err;
+            if (!trace::TraceGraph::tryBuild(traces[i], &g, &err))
+                errors[i] = err;
+            else if (encode)
+                sets[i] = distance::encodeSpanSet(traces[i], g,
+                                                  config_.distanceOpts);
         });
     }
-    if (cache != nullptr)
-        for (size_t i : runnable)
-            cache->storeVerdict(traces[i]->traceId, fps[i], slos[i],
-                                candHashes[i], out.perTrace[i]);
-    out.rcaInvocations = n - out.skippedTraces;
-    return out;
-}
+    if (encode && cache != nullptr)
+        for (size_t i : kept)
+            if (!fromCache[i] && errors[i].empty())
+                cache->storeEncoding(traces[i].traceId, fps[i], sets[i],
+                                     &encIds[i]);
 
-PipelineResult
-SleuthPipeline::analyzeWithMatrix(
-    const std::vector<trace::Trace> &traces,
-    const std::vector<int64_t> &slos,
-    const distance::DistanceMatrix &dist) const
-{
-    SLEUTH_ASSERT(traces.size() == slos.size(),
-                  "trace/slo count mismatch");
-    SLEUTH_ASSERT(dist.size() == traces.size(),
-                  "distance matrix / trace count mismatch");
-    countBatch(traces.size());
-    Engine engine(*this);
-    std::vector<const trace::Trace *> ptrs(traces.size());
-    std::vector<std::string> errors(traces.size());
-    for (size_t i = 0; i < traces.size(); ++i)
-        ptrs[i] = &traces[i];
-    engine.pool.parallelFor(traces.size(), [&](size_t i, size_t) {
-        trace::TraceGraph g;
-        std::string err;
-        if (!trace::TraceGraph::tryBuild(traces[i], &g, &err))
-            errors[i] = err;
-    });
-    return analyzeCore(ptrs, slos, dist, errors, engine);
-}
+    // Compact once: pruned and malformed traces leave together, so
+    // neither distorts clustering. Row r below is trace rows[r].
+    std::vector<size_t> rows;
+    rows.reserve(kept.size());
+    for (size_t i : kept)
+        if (errors[i].empty())
+            rows.push_back(i);
+    const size_t m = rows.size();
 
-PipelineResult
-SleuthPipeline::analyzeCore(
-    const std::vector<const trace::Trace *> &traces,
-    const std::vector<int64_t> &slos,
-    const distance::DistanceMatrix &dist,
-    const std::vector<std::string> &errors, Engine &engine,
-    const AllowedLists *allowed, PipelineCache *cache,
-    const std::vector<uint64_t> &fps,
-    const std::vector<uint64_t> &candHashes) const
-{
-    SLEUTH_ASSERT(dist.size() == traces.size(),
-                  "distance matrix / trace count mismatch");
-    const size_t n = traces.size();
+    distance::DistanceMatrix own;
+    const distance::DistanceMatrix *dist = &own;
+    if (encode) {
+        std::vector<distance::WeightedSpanSet> rowSets;
+        std::vector<uint32_t> rowIds;
+        rowSets.reserve(m);
+        for (size_t i : rows) {
+            rowSets.push_back(std::move(sets[i]));
+            if (cache != nullptr)
+                rowIds.push_back(encIds[i]);
+        }
+        obs::ScopedTimer timer(stageHistogram(Stage::Distance));
+        own = cachedDistanceMatrix(rowSets, rowIds, cache, engine.pool);
+    } else if (config_.clustering && m == n) {
+        dist = in.distance;
+    } else if (config_.clustering) {
+        own = distance::DistanceMatrix::compute(
+            m, [&](size_t a, size_t b) {
+                return in.distance->at(rows[a], rows[b]);
+            });
+    }
+
+    // With clustering off every row is noise and takes the individual
+    // path below.
+    cluster::ClusterResult clusters;
+    clusters.labels.assign(m, -1);
+    if (config_.clustering && m > 0) {
+        obs::ScopedTimer timer(stageHistogram(Stage::Cluster));
+        clusters = config_.algorithm == PipelineConfig::Algorithm::Hdbscan
+                       ? cluster::hdbscan(*dist, config_.hdbscan)
+                       : cluster::dbscan(*dist, config_.dbscan);
+    }
+    const size_t numClusters = static_cast<size_t>(clusters.numClusters);
+
+    // Fills slot(k) with the verdict for trace idx[k]: verdicts
+    // memoized by the cache first, serially; then only the misses run
+    // the model, in parallel into their preallocated slots, so the
+    // output is identical at any thread count. Returns the miss count.
+    auto rcaAll = [&](const std::vector<size_t> &idx, auto slot) {
+        std::vector<size_t> miss;
+        for (size_t k = 0; k < idx.size(); ++k) {
+            const size_t i = idx[k];
+            if (const RcaResult *hit =
+                    cache != nullptr
+                        ? cache->lookupVerdict(traces[i].traceId, fps[i],
+                                               slos[i], candHashes[i])
+                        : nullptr)
+                slot(k) = *hit;
+            else
+                miss.push_back(k);
+        }
+        engine.pool.parallelFor(miss.size(), [&](size_t q, size_t w) {
+            const size_t i = idx[miss[q]];
+            slot(miss[q]) =
+                engine.rcaFor(w).analyze(traces[i], slos[i], allowedFor(i));
+        });
+        if (cache != nullptr)
+            for (size_t k : miss) {
+                const size_t i = idx[k];
+                cache->storeVerdict(traces[i].traceId, fps[i], slos[i],
+                                    candHashes[i], slot(k));
+            }
+        return miss.size();
+    };
+
+    // One RCA per cluster representative (geometric median), whose
+    // verdict its members inherit unless they sit farther from it than
+    // the guard allows; then one per noise trace and far member.
     PipelineResult out;
     out.perTrace.resize(n);
     out.clusterLabels.assign(n, -1);
-    if (n == 0)
-        return out;
-    // Distance work is accounted over the well-formed traces only, so
-    // the analyzeWithMatrix path (whose caller-provided matrix covers
-    // malformed rows too) reports the same m(m-1)/2 the compacted
-    // analyze() path does for the same batch.
-    size_t well_formed = 0;
-    for (size_t i = 0; i < n; ++i)
-        if (errors[i].empty())
-            ++well_formed;
+    size_t executed = 0;
+    {
+        obs::ScopedTimer timer(stageHistogram(Stage::Rca));
+        std::vector<size_t> reps =
+            numClusters > 0 ? cluster::selectRepresentatives(
+                                  clusters.labels, clusters.numClusters,
+                                  *dist)
+                            : std::vector<size_t>{};
+        std::vector<size_t> repTraces(numClusters);
+        for (size_t c = 0; c < numClusters; ++c)
+            repTraces[c] = rows[reps[c]];
+        std::vector<RcaResult> repVerdicts(numClusters);
+        executed += rcaAll(repTraces, [&](size_t c) -> RcaResult & {
+            return repVerdicts[c];
+        });
+
+        std::vector<size_t> rest;
+        for (size_t r = 0; r < m; ++r) {
+            const int c = clusters.labels[r];
+            if (c < 0 ||
+                (config_.maxRepresentativeDistance > 0.0 &&
+                 r != reps[static_cast<size_t>(c)] &&
+                 dist->at(r, reps[static_cast<size_t>(c)]) >
+                     config_.maxRepresentativeDistance))
+                rest.push_back(rows[r]);
+            else
+                out.perTrace[rows[r]] = repVerdicts[static_cast<size_t>(c)];
+        }
+        executed += rcaAll(rest, [&](size_t k) -> RcaResult & {
+            return out.perTrace[rest[k]];
+        });
+        out.rcaInvocations = numClusters + rest.size();
+    }
+
+    // Scatter back once: labels, then malformed traces, then pruned
+    // traces (which copy their exemplar's verdict and label).
+    out.numClusters = clusters.numClusters;
     out.distanceEvaluations =
-        well_formed * (well_formed > 0 ? well_formed - 1 : 0) / 2;
-
-    cluster::ClusterResult clusters = [&] {
-        obs::ScopedTimer timer(stageHistogram(Stage::Cluster));
-        return config_.algorithm == PipelineConfig::Algorithm::Hdbscan
-                   ? cluster::hdbscan(dist, config_.hdbscan)
-                   : cluster::dbscan(dist, config_.dbscan);
-    }();
-
-    // Malformed traces (analyzeWithMatrix path: the caller's matrix
-    // covers them) are forced out of their clusters; cluster IDs are
-    // then compacted so no cluster is left empty.
-    std::vector<bool> assigned(n, false);
-    for (size_t i = 0; i < n; ++i) {
+        config_.clustering && m > 1 ? m * (m - 1) / 2 : 0;
+    for (size_t r = 0; r < m; ++r)
+        out.clusterLabels[rows[r]] = clusters.labels[r];
+    for (size_t i : kept)
         if (!errors[i].empty()) {
-            clusters.labels[i] = -1;
             out.perTrace[i] = errorVerdict(errors[i]);
-            assigned[i] = true;
             ++out.skippedTraces;
         }
-    }
-    if (out.skippedTraces > 0) {
-        std::vector<int> remap(
-            static_cast<size_t>(clusters.numClusters), -1);
-        int next = 0;
+    if (plan != nullptr) {
         for (size_t i = 0; i < n; ++i) {
-            int c = clusters.labels[i];
-            if (c < 0)
+            if (plan->keep[i])
                 continue;
-            if (remap[static_cast<size_t>(c)] < 0)
-                remap[static_cast<size_t>(c)] = next++;
-            clusters.labels[i] = remap[static_cast<size_t>(c)];
+            const int ex = plan->inheritFrom[i];
+            SLEUTH_ASSERT(ex >= 0 && static_cast<size_t>(ex) < n &&
+                              plan->keep[static_cast<size_t>(ex)],
+                          "pruned trace must inherit from a kept exemplar");
+            out.perTrace[i] = out.perTrace[static_cast<size_t>(ex)];
+            out.clusterLabels[i] =
+                out.clusterLabels[static_cast<size_t>(ex)];
+            ++out.prunedTraces;
         }
-        clusters.numClusters = next;
+        out.pruneTraceKeepRatio = plan->traceKeepRatio();
+        out.pruneServiceKeepRatio = plan->serviceKeepRatio();
     }
-    out.clusterLabels = clusters.labels;
-    out.numClusters = clusters.numClusters;
-
-    // Candidate filter / verdict-cache plumbing for one trace.
-    auto allowedFor = [&](size_t i) {
-        return allowed != nullptr ? (*allowed)[i] : nullptr;
-    };
-    auto cachedVerdict = [&](size_t i) -> const RcaResult * {
-        return cache != nullptr
-                   ? cache->lookupVerdict(traces[i]->traceId, fps[i],
-                                          slos[i], candHashes[i])
-                   : nullptr;
-    };
-
-    // One RCA per cluster representative (geometric median), run in
-    // parallel — one verdict slot per cluster is preallocated and each
-    // worker writes only its own clusters, so the output is identical
-    // at any thread count. The verdict then generalizes to every
-    // member. Verdicts memoized by the incremental cache are filled in
-    // serially first; only misses run the model.
-    obs::ScopedTimer rca_timer(stageHistogram(Stage::Rca));
-    std::vector<size_t> reps = cluster::selectRepresentatives(
-        clusters.labels, clusters.numClusters, dist);
-    const size_t num_clusters = static_cast<size_t>(clusters.numClusters);
-    std::vector<RcaResult> verdicts(num_clusters);
-    std::vector<size_t> miss_clusters;
-    miss_clusters.reserve(num_clusters);
-    for (size_t c = 0; c < num_clusters; ++c) {
-        if (const RcaResult *hit = cachedVerdict(reps[c]))
-            verdicts[c] = *hit;
-        else
-            miss_clusters.push_back(c);
-    }
-    engine.pool.parallelFor(miss_clusters.size(), [&](size_t k,
-                                                      size_t w) {
-        size_t c = miss_clusters[k];
-        verdicts[c] = engine.rcaFor(w).analyze(
-            *traces[reps[c]], slos[reps[c]], allowedFor(reps[c]));
-    });
-    if (cache != nullptr)
-        for (size_t c : miss_clusters) {
-            size_t i = reps[c];
-            cache->storeVerdict(traces[i]->traceId, fps[i], slos[i],
-                                candHashes[i], verdicts[c]);
-        }
-    out.rcaInvocations += num_clusters;
-    for (int c = 0; c < clusters.numClusters; ++c) {
-        size_t rep = reps[static_cast<size_t>(c)];
-        for (size_t i = 0; i < n; ++i) {
-            if (clusters.labels[i] != c)
-                continue;
-            // Far-from-representative members do not inherit the
-            // verdict; they fall through to individual analysis.
-            if (config_.maxRepresentativeDistance > 0.0 && i != rep &&
-                dist.at(i, rep) > config_.maxRepresentativeDistance)
-                continue;
-            out.perTrace[i] = verdicts[static_cast<size_t>(c)];
-            assigned[i] = true;
-        }
-    }
-    // Noise traces and far members are analyzed individually, again
-    // into preallocated per-trace slots (cache hits first, as above).
-    std::vector<size_t> rest;
-    for (size_t i = 0; i < n; ++i)
-        if (!assigned[i])
-            rest.push_back(i);
-    std::vector<size_t> miss_rest;
-    miss_rest.reserve(rest.size());
-    for (size_t i : rest) {
-        if (const RcaResult *hit = cachedVerdict(i))
-            out.perTrace[i] = *hit;
-        else
-            miss_rest.push_back(i);
-    }
-    engine.pool.parallelFor(miss_rest.size(), [&](size_t k, size_t w) {
-        size_t i = miss_rest[k];
-        out.perTrace[i] = engine.rcaFor(w).analyze(
-            *traces[i], slos[i], allowedFor(i));
-    });
-    if (cache != nullptr)
-        for (size_t i : miss_rest)
-            cache->storeVerdict(traces[i]->traceId, fps[i], slos[i],
-                                candHashes[i], out.perTrace[i]);
-    out.rcaInvocations += rest.size();
     static obs::Counter &rcaRuns = obs::counter(
         "sleuth_pipeline_rca_invocations_total",
         "Counterfactual RCA analyses run");
     static obs::Counter &skipped = obs::counter(
         "sleuth_pipeline_skipped_traces_total",
         "Malformed traces skipped by analysis batches");
-    rcaRuns.add(miss_clusters.size() + miss_rest.size());
+    rcaRuns.add(executed);
     skipped.add(out.skippedTraces);
+    if (cache != nullptr)
+        cache->storeBatch(batchKey, out);
     return out;
 }
 

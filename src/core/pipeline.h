@@ -2,22 +2,23 @@
 
 /**
  * @file
- * The end-to-end Sleuth pipeline (paper §3.1): cluster the incoming
- * anomalous traces with the weighted-Jaccard distance + HDBSCAN, run
- * the counterfactual RCA once per cluster representative (geometric
- * median), and generalize each representative's root causes to the
- * whole cluster. Noise traces are analyzed individually. Clustering
- * cuts ML inference by orders of magnitude during incident storms.
+ * The end-to-end Sleuth pipeline (paper §3.1) behind one entry point,
+ * SleuthPipeline::analyze. A batch of anomalous traces runs one flow:
+ * validate each trace, drop malformed and pruned traces in one
+ * compaction, encode span sets and build the weighted-Jaccard distance
+ * matrix, cluster with HDBSCAN (or DBSCAN), run the counterfactual RCA
+ * once per cluster representative (geometric median) and individually
+ * for noise traces, and generalize each representative's verdict to
+ * its cluster. Clustering cuts ML inference by orders of magnitude
+ * during incident storms.
  *
- * Two adaptive layers sit around the core pipeline (DESIGN.md §3.14):
- * an interpretable pre-pruning stage (RcaPruner) that shrinks the
- * candidate service/span graph before anything is encoded, and a
- * cross-poll incremental cache (PipelineCache) that memoizes per-trace
- * encodings, per-pair distances, and per-trace verdicts between
- * analyses of overlapping snapshots.
+ * AnalysisInputs carries the optional per-batch extras (DESIGN.md
+ * §3.14): detector signals and an explicit plan for the interpretable
+ * pre-pruning stage (RcaPruner), the cross-poll incremental cache
+ * (PipelineCache), and a caller-built distance matrix that replaces
+ * the Jaccard matrix (e.g. an embedding distance for comparison).
  */
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,24 +39,6 @@ struct PipelineConfig
     /** Clustering algorithm choice. */
     enum class Algorithm { Hdbscan, Dbscan };
 
-    /** Trace-distance choice for the default analyze() clustering. */
-    enum class TraceDistanceKind
-    {
-        /** Weighted Jaccard over encoded span sets (paper Eq. 1). */
-        WeightedJaccard,
-        /**
-         * Quantization ablation: 1 − cosine over int8 per-trace
-         * embeddings (the L2-normalized sum of each span's semantic
-         * embedding, quantized to int8). Distances track the float
-         * cosine within ~0.02 absolute (DESIGN.md §3.12) at a quarter
-         * of the bytes per trace signature. Only affects analyze();
-         * analyzeWithDistance/analyzeWithMatrix use their caller's
-         * distance as before. The incremental cache is bypassed in
-         * this mode (it keys pairwise distances by span-set encoding).
-         */
-        EmbeddingCosineInt8,
-    };
-
     /** Cluster before RCA (disable to analyze every trace). */
     bool clustering = true;
     /** HDBSCAN (paper §3.3.2) or plain DBSCAN (paper §3.1). */
@@ -66,8 +49,6 @@ struct PipelineConfig
     cluster::DbscanParams dbscan{0.3, 4};
     /** Span-identifier options for the trace distance. */
     distance::SpanSetOptions distanceOpts;
-    /** Distance used by analyze() (Jaccard default; int8 ablation). */
-    TraceDistanceKind traceDistance = TraceDistanceKind::WeightedJaccard;
     /** RCA knobs. */
     RcaParams rca;
     /** Pre-pruning stage (off by default; DESIGN.md §3.14). */
@@ -109,9 +90,8 @@ struct PipelineResult
      * Pairwise distance evaluations performed for this batch: exactly
      * m(m-1)/2 over the m well-formed traces when clustering ran (the
      * matrix is computed once and memoized), 0 when clustering was
-     * disabled. Malformed traces never count, on any analyze path —
-     * including analyzeWithMatrix, whose caller-provided matrix covers
-     * their rows.
+     * disabled. Malformed and pruned traces never count, even when a
+     * caller-built matrix covers their rows.
      */
     size_t distanceEvaluations = 0;
     /**
@@ -138,6 +118,39 @@ struct PipelineResult
 std::vector<std::pair<std::string, size_t>>
 aggregateRootCauses(const PipelineResult &result);
 
+/**
+ * Optional per-batch inputs to SleuthPipeline::analyze. Every pointer
+ * may be null and must outlive the call.
+ */
+struct AnalysisInputs
+{
+    /** Per-endpoint detector signals for the prune planner. */
+    const PruneSignals *signals = nullptr;
+    /**
+     * An explicit prune plan (normally RcaPruner's over this batch);
+     * when null, one is computed if config.prune.mode is not Off.
+     * Pruned traces skip the pipeline and inherit their exemplar's
+     * verdict and cluster label; restricted traces run the RCA over
+     * their reduced candidate set.
+     */
+    const PrunePlan *plan = nullptr;
+    /**
+     * Cross-poll incremental cache: encodings, distances, and verdicts
+     * memoized from previous polls are reused and fresh ones inserted.
+     * It must always be paired with the same pipeline configuration,
+     * and cannot be combined with a caller-built distance matrix.
+     */
+    PipelineCache *cache = nullptr;
+    /**
+     * Caller-built distance matrix over every input trace, used for
+     * clustering, representative selection, and the far-member guard
+     * instead of the weighted-Jaccard matrix. Rows of malformed and
+     * pruned traces are dropped before clustering. Ignored when
+     * clustering is off.
+     */
+    const distance::DistanceMatrix *distance = nullptr;
+};
+
 /** The trace-storm-scale RCA front end. */
 class SleuthPipeline
 {
@@ -147,60 +160,16 @@ class SleuthPipeline
                    const NormalProfile &profile, PipelineConfig config);
 
     /**
-     * Analyze a batch of anomalous traces.
+     * Analyze a batch of anomalous traces. Results are bitwise
+     * identical at any thread count and with or without the cache.
      *
      * @param traces the anomalous traces
      * @param slos per-trace latency SLO in microseconds
-     */
-    PipelineResult analyze(const std::vector<trace::Trace> &traces,
-                           const std::vector<int64_t> &slos) const;
-
-    /**
-     * As analyze(), with the adaptive layers: when config.prune.mode is
-     * not Off a prune plan is computed first (fed by the optional
-     * per-endpoint detector signals) and applied as by
-     * analyzeWithPlan(); when cache is non-null, encodings, distances,
-     * and verdicts memoized from previous polls are reused and fresh
-     * ones inserted (the cache must always be paired with the same
-     * pipeline configuration). Results are bitwise identical to the
-     * cache-free run of the same batch.
+     * @param in optional prune, cache, and distance inputs
      */
     PipelineResult analyze(const std::vector<trace::Trace> &traces,
                            const std::vector<int64_t> &slos,
-                           const PruneSignals *signals,
-                           PipelineCache *cache) const;
-
-    /**
-     * Analyze under an explicit prune plan (normally produced by
-     * RcaPruner over this batch): pruned traces skip the pipeline and
-     * inherit their exemplar's verdict and cluster label; restricted
-     * traces run the RCA over their reduced candidate set.
-     */
-    PipelineResult analyzeWithPlan(
-        const std::vector<trace::Trace> &traces,
-        const std::vector<int64_t> &slos, const PrunePlan &plan,
-        PipelineCache *cache = nullptr) const;
-
-    /**
-     * As analyze(), but clustering uses a caller-provided distance
-     * (e.g. the DeepTraLog SVDD embedding distance for comparison).
-     * The oracle is invoked exactly n(n-1)/2 times to memoize a
-     * DistanceMatrix; every downstream consumer reads the matrix.
-     */
-    PipelineResult analyzeWithDistance(
-        const std::vector<trace::Trace> &traces,
-        const std::vector<int64_t> &slos,
-        const std::function<double(size_t, size_t)> &dist) const;
-
-    /**
-     * As analyze(), over an already-materialized distance matrix
-     * (clustering, representative selection, and the far-member guard
-     * all read it directly; no distance is ever recomputed).
-     */
-    PipelineResult analyzeWithMatrix(
-        const std::vector<trace::Trace> &traces,
-        const std::vector<int64_t> &slos,
-        const distance::DistanceMatrix &dist) const;
+                           const AnalysisInputs &in = {}) const;
 
   private:
     /**
@@ -209,44 +178,6 @@ class SleuthPipeline
      * the only shared mutable state) per worker. Defined in the .cc.
      */
     struct Engine;
-
-    /** Per-trace candidate filter (nullptr entry = unrestricted). */
-    using AllowedLists = std::vector<const std::vector<std::string> *>;
-
-    /**
-     * The shared batch implementation behind every analyze flavor:
-     * honors the clustering flag, the optional per-trace candidate
-     * filters, and the optional incremental cache.
-     */
-    PipelineResult analyzeImpl(
-        const std::vector<const trace::Trace *> &traces,
-        const std::vector<int64_t> &slos, const AllowedLists *allowed,
-        PipelineCache *cache) const;
-
-    /** Per-trace RCA for every input (the clustering-off path). */
-    PipelineResult analyzeIndividualImpl(
-        const std::vector<const trace::Trace *> &traces,
-        const std::vector<int64_t> &slos, const AllowedLists *allowed,
-        PipelineCache *cache, const std::vector<uint64_t> &fps,
-        const std::vector<uint64_t> &candHashes, Engine &engine) const;
-
-    /**
-     * Clustered analysis over a batch addressed by pointer, with
-     * malformed traces pre-marked (errors[i] non-empty): they get an
-     * error verdict, label -1, and never reach the RCA. dist must
-     * cover all of traces (malformed rows included, as provided by
-     * the caller of analyzeWithMatrix). allowed/cache/fps/candHashes
-     * follow analyzeImpl (empty fps/candHashes when cache is null).
-     */
-    PipelineResult analyzeCore(
-        const std::vector<const trace::Trace *> &traces,
-        const std::vector<int64_t> &slos,
-        const distance::DistanceMatrix &dist,
-        const std::vector<std::string> &errors, Engine &engine,
-        const AllowedLists *allowed = nullptr,
-        PipelineCache *cache = nullptr,
-        const std::vector<uint64_t> &fps = {},
-        const std::vector<uint64_t> &candHashes = {}) const;
 
     const SleuthGnn &model_;
     FeatureEncoder &encoder_;

@@ -12,10 +12,10 @@
  *  - span-set encodings, keyed by (traceId, content fingerprint);
  *  - weighted-Jaccard distances, keyed by the encoding-id pair;
  *  - RCA verdicts, keyed by (fingerprint, SLO, candidate-filter hash);
- *  - whole batch results, keyed by the fingerprint+SLO sequence (the
- *    unchanged-snapshot fast path; cluster assignments are only
- *    reusable wholesale, because clustering is a function of the full
- *    matrix).
+ *  - whole batch results, keyed by the fingerprint+SLO sequence and
+ *    the prune plan (the unchanged-snapshot fast path; cluster
+ *    assignments are only reusable wholesale, because clustering is a
+ *    function of the full matrix).
  *
  * Because every cached value is the output of a pure function of the
  * fingerprinted inputs, a warm analysis is bitwise-identical to a full

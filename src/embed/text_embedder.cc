@@ -141,53 +141,4 @@ TextEmbedder::cosine(const std::vector<double> &a,
     return dot / std::sqrt(na * nb);
 }
 
-bool
-QuantizedEmbedding::zero() const
-{
-    for (int8_t x : q)
-        if (x != 0)
-            return false;
-    return true;
-}
-
-QuantizedEmbedding
-TextEmbedder::quantize(const std::vector<double> &v)
-{
-    QuantizedEmbedding out;
-    out.q.resize(v.size());
-    for (size_t i = 0; i < v.size(); ++i) {
-        double scaled = std::nearbyint(v[i] * 127.0);
-        if (scaled > 127.0)
-            scaled = 127.0;
-        if (scaled < -127.0)
-            scaled = -127.0;
-        out.q[i] = static_cast<int8_t>(scaled);
-    }
-    return out;
-}
-
-const QuantizedEmbedding &
-TextEmbedder::embedQuantized(const std::string &text)
-{
-    auto it = qcache_.find(text);
-    if (it != qcache_.end())
-        return it->second;
-    return qcache_.emplace(text, quantize(embed(text))).first->second;
-}
-
-double
-TextEmbedder::cosineQuantized(const QuantizedEmbedding &a,
-                              const QuantizedEmbedding &b)
-{
-    size_t n = std::min(a.q.size(), b.q.size());
-    int64_t dot = simd::dotI8(a.q.data(), b.q.data(), n);
-    int64_t na = simd::dotI8(a.q.data(), a.q.data(), n);
-    int64_t nb = simd::dotI8(b.q.data(), b.q.data(), n);
-    if (na == 0 || nb == 0)
-        return 0.0;
-    return static_cast<double>(dot) /
-           std::sqrt(static_cast<double>(na) *
-                     static_cast<double>(nb));
-}
-
 } // namespace sleuth::embed

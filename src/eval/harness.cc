@@ -251,9 +251,15 @@ evaluatePipeline(SleuthAdapter &adapter, const ExperimentData &data,
         traces.push_back(q.trace);
         slos.push_back(q.sloUs);
     }
-    core::PipelineResult res = custom_distance
-        ? pipe.analyzeWithDistance(traces, slos, *custom_distance)
-        : pipe.analyze(traces, slos);
+    // The oracle is only consulted when clustering runs.
+    distance::DistanceMatrix custom;
+    core::AnalysisInputs in;
+    if (custom_distance != nullptr && pipeline.clustering) {
+        custom = distance::DistanceMatrix::compute(traces.size(),
+                                                   *custom_distance);
+        in.distance = &custom;
+    }
+    core::PipelineResult res = pipe.analyze(traces, slos, in);
     if (rca_invocations)
         *rca_invocations = res.rcaInvocations;
 

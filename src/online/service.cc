@@ -562,8 +562,9 @@ OnlineService::analyzeIncident(Incident *incident, int64_t watermark_us)
 
     auto t0 = std::chrono::steady_clock::now();
     incident->rca = pipeline_.analyze(
-        incident->anomalousTraces, incident->slos, &signals,
-        config_.incrementalCache ? &cache_ : nullptr);
+        incident->anomalousTraces, incident->slos,
+        {.signals = &signals,
+         .cache = config_.incrementalCache ? &cache_ : nullptr});
     auto t1 = std::chrono::steady_clock::now();
     incident->rcaMillis =
         std::chrono::duration<double, std::milli>(t1 - t0).count();

@@ -268,10 +268,17 @@ class Parser
             return Json();
         }
         char c = text_[pos_];
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
+        if (c == '{' || c == '[') {
+            if (depth_ == Json::kMaxDepth) {
+                fail("nesting deeper than " +
+                     std::to_string(Json::kMaxDepth) + " levels");
+                return Json();
+            }
+            ++depth_;
+            Json out = c == '{' ? object() : array();
+            --depth_;
+            return out;
+        }
         if (c == '"')
             return Json(string());
         if (c == 't') {
@@ -494,6 +501,7 @@ class Parser
     const std::string &text_;
     std::string *error_;
     size_t pos_ = 0;
+    size_t depth_ = 0;
     bool failed_ = false;
 };
 

@@ -27,6 +27,13 @@ class Json
     using Array = std::vector<Json>;
     using Object = std::map<std::string, Json>;
 
+    /**
+     * Deepest array/object nesting parse() accepts. Deeper input is a
+     * parse error, which bounds the parser's recursion (and the
+     * recursive destruction of the value) on untrusted documents.
+     */
+    static constexpr size_t kMaxDepth = 256;
+
     /** Construct null. */
     Json() : type_(Type::Null) {}
     /** Construct a boolean. */
@@ -93,6 +100,7 @@ class Json
      * @param text full document text
      * @param error receives a description when parsing fails
      * @return the parsed value, or null with non-empty *error on failure
+     *         (including nesting deeper than kMaxDepth)
      */
     static Json parse(const std::string &text, std::string *error = nullptr);
 

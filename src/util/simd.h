@@ -103,9 +103,6 @@ double sortedIntersectMinSum(const uint64_t *ka, const double *wa,
                              size_t na, const uint64_t *kb,
                              const double *wb, size_t nb);
 
-/** Integer dot product of two int8 vectors (exact in any order). */
-int64_t dotI8(const int8_t *a, const int8_t *b, size_t n);
-
 namespace scalar {
 void axpy(double *y, double a, const double *x, size_t n);
 void add(double *acc, const double *x, size_t n);
@@ -118,7 +115,6 @@ void dotRows4(const double *a, const double *b0, const double *b1,
 double sortedIntersectMinSum(const uint64_t *ka, const double *wa,
                              size_t na, const uint64_t *kb,
                              const double *wb, size_t nb);
-int64_t dotI8(const int8_t *a, const int8_t *b, size_t n);
 } // namespace scalar
 
 namespace avx2 {
@@ -133,7 +129,6 @@ void dotRows4(const double *a, const double *b0, const double *b1,
 double sortedIntersectMinSum(const uint64_t *ka, const double *wa,
                              size_t na, const uint64_t *kb,
                              const double *wb, size_t nb);
-int64_t dotI8(const int8_t *a, const int8_t *b, size_t n);
 } // namespace avx2
 
 } // namespace sleuth::simd

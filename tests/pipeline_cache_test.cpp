@@ -123,12 +123,12 @@ TEST(PipelineCache, WarmRepollIsBitwiseEqualAndHitsBatchFastPath)
     PipelineResult fresh = pipeline.analyze(traces, slos);
     PipelineCache cache;
     PipelineResult cold =
-        pipeline.analyze(traces, slos, nullptr, &cache);
+        pipeline.analyze(traces, slos, {.cache = &cache});
     expectSameResult(fresh, cold);
     EXPECT_EQ(cache.stats().batchHits, 0u);
 
     PipelineResult warm =
-        pipeline.analyze(traces, slos, nullptr, &cache);
+        pipeline.analyze(traces, slos, {.cache = &cache});
     expectSameResult(fresh, warm);
     EXPECT_EQ(cache.stats().batchHits, 1u);
     // The logical invocation count is cache-oblivious by design.
@@ -144,7 +144,7 @@ TEST(PipelineCache, SlidWindowReusesEncodingsAndVerdicts)
                             clusteredConfig());
 
     PipelineCache cache;
-    pipeline.analyze(traces, slos, nullptr, &cache);
+    pipeline.analyze(traces, slos, {.cache = &cache});
     PipelineCache::Stats before = cache.stats();
 
     // Drop the oldest trace and add a new one: the slid window.
@@ -155,7 +155,7 @@ TEST(PipelineCache, SlidWindowReusesEncodingsAndVerdicts)
 
     PipelineResult fresh = pipeline.analyze(slid, slid_slos);
     PipelineResult warm =
-        pipeline.analyze(slid, slid_slos, nullptr, &cache);
+        pipeline.analyze(slid, slid_slos, {.cache = &cache});
     expectSameResult(fresh, warm);
     PipelineCache::Stats after = cache.stats();
     // The surviving traces were not re-encoded or re-judged.
@@ -173,7 +173,7 @@ TEST(PipelineCache, NewSpanInvalidatesAndFallsBackToFullRecompute)
                             clusteredConfig());
 
     PipelineCache cache;
-    pipeline.analyze(traces, slos, nullptr, &cache);
+    pipeline.analyze(traces, slos, {.cache = &cache});
     ASSERT_EQ(cache.stats().invalidations, 0u);
 
     // A late span arrives for trace 0 between polls: same traceId,
@@ -183,7 +183,7 @@ TEST(PipelineCache, NewSpanInvalidatesAndFallsBackToFullRecompute)
                                         200, 260));
     PipelineResult fresh = pipeline.analyze(mutated, slos);
     PipelineResult warm =
-        pipeline.analyze(mutated, slos, nullptr, &cache);
+        pipeline.analyze(mutated, slos, {.cache = &cache});
     expectSameResult(fresh, warm);
     EXPECT_GT(cache.stats().invalidations, 0u);
 }
@@ -197,7 +197,7 @@ TEST(PipelineCache, ChangedErrorFlagInvalidates)
                             clusteredConfig());
 
     PipelineCache cache;
-    pipeline.analyze(traces, slos, nullptr, &cache);
+    pipeline.analyze(traces, slos, {.cache = &cache});
     uint64_t fp_before = PipelineCache::fingerprint(traces[0]);
 
     // Only the status flips — span count and timings are unchanged, so
@@ -208,7 +208,7 @@ TEST(PipelineCache, ChangedErrorFlagInvalidates)
 
     PipelineResult fresh = pipeline.analyze(mutated, slos);
     PipelineResult warm =
-        pipeline.analyze(mutated, slos, nullptr, &cache);
+        pipeline.analyze(mutated, slos, {.cache = &cache});
     expectSameResult(fresh, warm);
     EXPECT_GT(cache.stats().invalidations, 0u);
 }
@@ -225,21 +225,21 @@ TEST(PipelineCache, AgingEvictsUntouchedEntries)
 
     std::vector<trace::Trace> first = storm("backend", 4, 15);
     std::vector<int64_t> slos(first.size(), 900);
-    pipeline.analyze(first, slos, nullptr, &cache);
+    pipeline.analyze(first, slos, {.cache = &cache});
     EXPECT_EQ(cache.size(), first.size());
 
     // Three disjoint batches later the first window has aged out.
     for (uint64_t seed = 16; seed < 19; ++seed) {
         std::vector<trace::Trace> other = storm("cache", 4, seed);
         std::vector<int64_t> oslos(other.size(), 900);
-        pipeline.analyze(other, oslos, nullptr, &cache);
+        pipeline.analyze(other, oslos, {.cache = &cache});
     }
     EXPECT_GT(cache.stats().evictions, 0u);
     EXPECT_LT(cache.size(), first.size() + 12);
 
     // The evicted window re-analyzes from scratch, bitwise equal.
     PipelineResult fresh = pipeline.analyze(first, slos);
-    PipelineResult warm = pipeline.analyze(first, slos, nullptr, &cache);
+    PipelineResult warm = pipeline.analyze(first, slos, {.cache = &cache});
     expectSameResult(fresh, warm);
 }
 
@@ -256,11 +256,11 @@ TEST(PipelineCache, MaxTracesCapEvictsDeterministically)
     std::vector<trace::Trace> big = storm("backend", 10, 20);
     std::vector<int64_t> slos(big.size(), 900);
     PipelineResult fresh = pipeline.analyze(big, slos);
-    pipeline.analyze(big, slos, nullptr, &cache);
+    pipeline.analyze(big, slos, {.cache = &cache});
     // Same-batch entries share a generation, so the cap only bites on
     // the next beginBatch; the capped cache must still answer the
     // repeat bitwise-identically (batch fast path or recompute).
-    PipelineResult warm = pipeline.analyze(big, slos, nullptr, &cache);
+    PipelineResult warm = pipeline.analyze(big, slos, {.cache = &cache});
     expectSameResult(fresh, warm);
     EXPECT_LE(cache.size(), std::max<size_t>(cc.maxTraces, big.size()));
     EXPECT_GT(cache.stats().evictions, 0u);
@@ -281,12 +281,12 @@ TEST(PipelineCache, GrowingWindowReusesMatrixPrefixBitwiseEqual)
     std::vector<trace::Trace> small(traces.begin(), traces.begin() + 6);
     std::vector<int64_t> small_slos(small.size(), 900);
     PipelineCache cache;
-    pipeline.analyze(small, small_slos, nullptr, &cache);
+    pipeline.analyze(small, small_slos, {.cache = &cache});
     ASSERT_EQ(cache.stats().matrixPrefixHits, 0u);
 
     PipelineResult fresh = pipeline.analyze(traces, slos);
     PipelineResult warm =
-        pipeline.analyze(traces, slos, nullptr, &cache);
+        pipeline.analyze(traces, slos, {.cache = &cache});
     expectSameResult(fresh, warm);
     EXPECT_GT(cache.stats().matrixPrefixHits, 0u);
 }
@@ -302,7 +302,7 @@ TEST(PipelineCache, MutatedLeadingTraceBreaksMatrixPrefix)
     std::vector<trace::Trace> small(traces.begin(), traces.begin() + 6);
     std::vector<int64_t> small_slos(small.size(), 900);
     PipelineCache cache;
-    pipeline.analyze(small, small_slos, nullptr, &cache);
+    pipeline.analyze(small, small_slos, {.cache = &cache});
 
     // The window grows AND its first trace mutated between polls: the
     // re-encoded trace gets a fresh encoding id, so the stored matrix
@@ -312,7 +312,7 @@ TEST(PipelineCache, MutatedLeadingTraceBreaksMatrixPrefix)
                                       200, 260));
     PipelineResult fresh = pipeline.analyze(grown, slos);
     PipelineResult warm =
-        pipeline.analyze(grown, slos, nullptr, &cache);
+        pipeline.analyze(grown, slos, {.cache = &cache});
     expectSameResult(fresh, warm);
     EXPECT_EQ(cache.stats().matrixPrefixHits, 0u);
     EXPECT_GT(cache.stats().invalidations, 0u);
@@ -363,9 +363,62 @@ TEST(PipelineCache, CacheComposesWithConservativePruning)
 
     PipelineResult fresh = plain.analyze(traces, slos);
     PipelineCache cache;
-    PipelineResult cold = pruned.analyze(traces, slos, nullptr, &cache);
-    PipelineResult warm = pruned.analyze(traces, slos, nullptr, &cache);
+    PipelineResult cold = pruned.analyze(traces, slos, {.cache = &cache});
+    PipelineResult warm = pruned.analyze(traces, slos, {.cache = &cache});
     expectSameResult(fresh, cold);
     expectSameResult(fresh, warm);
     EXPECT_GT(cache.stats().batchHits, 0u);
+}
+
+TEST(PipelineCache, BatchKeyCoversThePrunePlan)
+{
+    // The batch fast path stores the fully scattered result, pruned
+    // traces included, so its key must cover the plan: a plan that
+    // keeps the same traces but re-points an inheritance must miss.
+    CacheFixture &f = fixture();
+    std::vector<trace::Trace> traces = storm("backend", 8, 24);
+    std::vector<trace::Trace> other = storm("cache", 8, 25);
+    traces.insert(traces.end(), other.begin(), other.end());
+    std::vector<int64_t> slos(traces.size(), 900);
+
+    PipelineConfig cfg = clusteredConfig();
+    cfg.prune.mode = PruneConfig::Mode::Aggressive;
+    cfg.prune.aggressiveness = 0.7;
+    SleuthPipeline pipeline(f.model, f.encoder, f.profile, cfg);
+    PrunePlan plan =
+        RcaPruner(f.profile, cfg.prune, cfg.rca).plan(traces, slos);
+    ASSERT_LT(plan.tracesKept, plan.tracesTotal);
+
+    PipelineResult fresh = pipeline.analyze(traces, slos, {.plan = &plan});
+    PipelineCache cache;
+    PipelineResult cold =
+        pipeline.analyze(traces, slos, {.plan = &plan, .cache = &cache});
+    PipelineResult warm =
+        pipeline.analyze(traces, slos, {.plan = &plan, .cache = &cache});
+    expectSameResult(fresh, cold);
+    expectSameResult(fresh, warm);
+    EXPECT_EQ(warm.prunedTraces, fresh.prunedTraces);
+    EXPECT_EQ(warm.pruneServiceKeepRatio, fresh.pruneServiceKeepRatio);
+    EXPECT_EQ(cache.stats().batchHits, 1u);
+
+    // Re-point one pruned trace at a kept exemplar with another verdict.
+    size_t victim = traces.size(), exemplar = traces.size();
+    for (size_t i = 0; i < traces.size() && victim == traces.size(); ++i)
+        for (size_t e = 0; e < traces.size() && !plan.keep[i]; ++e)
+            if (plan.keep[e] &&
+                fresh.perTrace[e].services != fresh.perTrace[i].services) {
+                victim = i;
+                exemplar = e;
+                break;
+            }
+    ASSERT_LT(victim, traces.size());
+    PrunePlan moved = plan;
+    moved.inheritFrom[victim] = static_cast<int>(exemplar);
+    PipelineResult want =
+        pipeline.analyze(traces, slos, {.plan = &moved});
+    PipelineResult got =
+        pipeline.analyze(traces, slos, {.plan = &moved, .cache = &cache});
+    expectSameResult(want, got);
+    EXPECT_EQ(got.perTrace[victim].services,
+              fresh.perTrace[exemplar].services);
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/pipeline.h"
 #include "core/trainer.h"
 #include "test_helpers.h"
@@ -212,22 +214,57 @@ TEST(PipelineMechanics, MalformedTraceInBatchIsSkippedNotFatal)
     EXPECT_EQ(res.distanceEvaluations, m * (m - 1) / 2);
 }
 
+namespace {
+
+/** Structurally broken trace: its only non-root span has no parent. */
+trace::Trace
+orphanTrace(const std::string &id)
+{
+    trace::Trace t;
+    t.traceId = id;
+    t.spans.push_back(makeSpan("r", "", "frontend", "Handle", 0, 100));
+    t.spans.push_back(
+        makeSpan("x", "nosuchspan", "backend", "Get", 10, 60));
+    return t;
+}
+
+/**
+ * A caller-built matrix: per-pair weighted Jaccard over the encoded
+ * span sets, with every malformed row at distance 0 from everything
+ * (so it would pull its batch mates together if it were clustered).
+ */
+distance::DistanceMatrix
+jaccardMatrix(const std::vector<trace::Trace> &traces)
+{
+    std::vector<distance::WeightedSpanSet> sets(traces.size());
+    std::vector<char> ok(traces.size(), 0);
+    for (size_t i = 0; i < traces.size(); ++i) {
+        trace::TraceGraph g;
+        std::string err;
+        if (trace::TraceGraph::tryBuild(traces[i], &g, &err)) {
+            sets[i] = distance::encodeSpanSet(traces[i], g);
+            ok[i] = 1;
+        }
+    }
+    return distance::DistanceMatrix::compute(
+        traces.size(), [&](size_t a, size_t b) {
+            return ok[a] && ok[b]
+                       ? distance::jaccardDistance(sets[a], sets[b])
+                       : 0.0;
+        });
+}
+
+} // namespace
+
 TEST(PipelineMechanics, MatrixPathAccountsMalformedLikeAnalyze)
 {
-    // Regression: analyzeCore used to charge n(n-1)/2 distance
-    // evaluations on the analyzeWithMatrix path even when the batch
-    // contained malformed traces, while analyze() (which compacts them
-    // out before building its matrix) reported m(m-1)/2 over the m
-    // well-formed traces. The two paths must agree on the accounting.
+    // A caller-built matrix covers every row, malformed included. The
+    // pipeline must account distance work over the m well-formed
+    // traces only, as it does for its own matrix, and cluster only
+    // those rows.
     PipeFixture &f = pipeFixture();
     std::vector<trace::Trace> traces = storm("backend", 8, 21);
-    trace::Trace orphan;
-    orphan.traceId = "orphan";
-    orphan.spans.push_back(
-        makeSpan("r", "", "frontend", "Handle", 0, 100));
-    orphan.spans.push_back(
-        makeSpan("x", "nosuchspan", "backend", "Get", 10, 60));
-    traces.insert(traces.begin() + 2, orphan);
+    traces.insert(traces.begin() + 2, orphanTrace("orphan"));
     std::vector<int64_t> slos(traces.size(), 900);
 
     PipelineConfig cfg;
@@ -235,13 +272,10 @@ TEST(PipelineMechanics, MatrixPathAccountsMalformedLikeAnalyze)
                    .clusterSelectionEpsilon = 0.0};
     SleuthPipeline pipeline(f.model, f.encoder, f.profile, cfg);
 
-    // A caller-provided distance covering every row, malformed
-    // included (as analyzeWithMatrix documents the matrix must).
-    std::function<double(size_t, size_t)> flat = [](size_t, size_t) {
-        return 0.1;
-    };
+    distance::DistanceMatrix flat = distance::DistanceMatrix::compute(
+        traces.size(), [](size_t, size_t) { return 0.1; });
     PipelineResult res =
-        pipeline.analyzeWithDistance(traces, slos, flat);
+        pipeline.analyze(traces, slos, {.distance = &flat});
 
     const size_t m = traces.size() - 1;
     EXPECT_EQ(res.skippedTraces, 1u);
@@ -257,6 +291,44 @@ TEST(PipelineMechanics, MatrixPathAccountsMalformedLikeAnalyze)
         }
     for (size_t c = 0; c < seen.size(); ++c)
         EXPECT_TRUE(seen[c]) << "empty cluster id " << c;
+
+    // With a non-flat matrix whose malformed rows sit at distance 0
+    // from everything, the well-formed traces must still get exactly
+    // the verdicts and labels of the clean batch.
+    std::vector<trace::Trace> clean = storm("backend", 8, 22);
+    std::vector<trace::Trace> other = storm("cache", 8, 23);
+    clean.insert(clean.end(), other.begin(), other.end());
+    std::vector<trace::Trace> dirty = clean;
+    dirty.insert(dirty.begin() + 11, orphanTrace("orphan-b"));
+    dirty.insert(dirty.begin() + 3, orphanTrace("orphan-a"));
+    const std::vector<size_t> malformed = {3, 12};
+    std::vector<int64_t> clean_slos(clean.size(), 900);
+    std::vector<int64_t> dirty_slos(dirty.size(), 900);
+
+    distance::DistanceMatrix clean_dist = jaccardMatrix(clean);
+    distance::DistanceMatrix dirty_dist = jaccardMatrix(dirty);
+    PipelineResult want =
+        pipeline.analyze(clean, clean_slos, {.distance = &clean_dist});
+    PipelineResult got =
+        pipeline.analyze(dirty, dirty_slos, {.distance = &dirty_dist});
+    ASSERT_GE(want.numClusters, 1);
+    EXPECT_EQ(got.numClusters, want.numClusters);
+    EXPECT_EQ(got.skippedTraces, malformed.size());
+    EXPECT_EQ(got.rcaInvocations, want.rcaInvocations);
+    size_t k = 0;
+    for (size_t i = 0; i < dirty.size(); ++i) {
+        if (std::find(malformed.begin(), malformed.end(), i) !=
+            malformed.end()) {
+            EXPECT_FALSE(got.perTrace[i].error.empty()) << i;
+            EXPECT_EQ(got.clusterLabels[i], -1) << i;
+            continue;
+        }
+        EXPECT_EQ(got.perTrace[i].services, want.perTrace[k].services)
+            << i;
+        EXPECT_EQ(got.clusterLabels[i], want.clusterLabels[k]) << i;
+        ++k;
+    }
+    EXPECT_EQ(k, clean.size());
 }
 
 TEST(PipelineMechanics, MalformedTraceSkippedOnIndividualPath)
@@ -384,4 +456,27 @@ TEST(PipelineMechanics, MixedStormSeparatesFailureModes)
             ++cache_hits;
     EXPECT_GE(backend_hits, 6);
     EXPECT_GE(cache_hits, 6);
+}
+
+TEST(PipelineMechanics, DefaultMatrixMatchesCallerJaccardMatrix)
+{
+    // The pipeline's own weighted-Jaccard matrix (grouped SIMD kernel)
+    // and a caller-built matrix of per-pair jaccardDistance over the
+    // same encoded span sets must drive identical clustering and RCA.
+    PipeFixture &f = pipeFixture();
+    std::vector<trace::Trace> traces = storm("backend", 10, 31);
+    std::vector<trace::Trace> other = storm("cache", 10, 32);
+    traces.insert(traces.end(), other.begin(), other.end());
+    std::vector<int64_t> slos(traces.size(), 900);
+
+    PipelineConfig cfg;
+    cfg.hdbscan = {.minClusterSize = 4, .minSamples = 2,
+                   .clusterSelectionEpsilon = 0.0};
+    SleuthPipeline pipeline(f.model, f.encoder, f.profile, cfg);
+    PipelineResult base = pipeline.analyze(traces, slos);
+    ASSERT_GE(base.numClusters, 2);
+
+    distance::DistanceMatrix dist = jaccardMatrix(traces);
+    expectSameResult(base,
+                     pipeline.analyze(traces, slos, {.distance = &dist}));
 }

@@ -170,8 +170,7 @@ TEST(RcaPruner, ConservativeAnalyzeIsBitwiseEqualToFull)
     pruned_cfg.prune.mode = PruneConfig::Mode::Conservative;
     SleuthPipeline pruned_pipeline(f.model, f.encoder, f.profile,
                                    pruned_cfg);
-    PipelineResult pruned =
-        pruned_pipeline.analyze(traces, slos, nullptr, nullptr);
+    PipelineResult pruned = pruned_pipeline.analyze(traces, slos);
 
     expectSameResult(full, pruned);
     EXPECT_EQ(pruned.prunedTraces, 0u);
@@ -211,7 +210,7 @@ TEST(RcaPruner, AggressiveCollapsesDuplicatesOntoExemplars)
     pipe_cfg.hdbscan = {.minClusterSize = 4, .minSamples = 2,
                         .clusterSelectionEpsilon = 0.0};
     SleuthPipeline pipeline(f.model, f.encoder, f.profile, pipe_cfg);
-    PipelineResult res = pipeline.analyzeWithPlan(traces, slos, plan);
+    PipelineResult res = pipeline.analyze(traces, slos, {.plan = &plan});
     EXPECT_EQ(res.prunedTraces, plan.tracesTotal - plan.tracesKept);
     EXPECT_EQ(res.pruneTraceKeepRatio, plan.traceKeepRatio());
     // Pruned traces inherit their exemplar's verdict verbatim.
@@ -298,7 +297,7 @@ TEST(RcaPruner, AllPrunedCandidateSetYieldsEmptyVerdict)
     cfg.hdbscan = {.minClusterSize = 3, .minSamples = 2,
                    .clusterSelectionEpsilon = 0.0};
     SleuthPipeline pipeline(f.model, f.encoder, f.profile, cfg);
-    PipelineResult res = pipeline.analyzeWithPlan(traces, slos, plan);
+    PipelineResult res = pipeline.analyze(traces, slos, {.plan = &plan});
     ASSERT_EQ(res.perTrace.size(), n);
     for (size_t i = 0; i < n; ++i) {
         EXPECT_TRUE(res.perTrace[i].services.empty()) << i;

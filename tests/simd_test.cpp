@@ -6,18 +6,15 @@
 // modes for the integral-weight Jaccard and matmul paths. These tests
 // pin both: direct scalar:: vs avx2:: comparisons across awkward tail
 // sizes, and end-to-end dispatch toggles through the public entry
-// points. The int8 quantized-cosine ablation gets its declared
-// tolerance checked instead (the integer dot itself is exact).
+// points.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "distance/distance_matrix.h"
 #include "distance/trace_distance.h"
-#include "embed/text_embedder.h"
 #include "nn/tensor.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -232,26 +229,6 @@ TEST(SimdKernels, MinSemanticsMatchMinpdOnTies)
     }
 }
 
-TEST(SimdKernels, DotI8ExactAcrossTails)
-{
-    util::Rng rng(0xe5);
-    for (size_t n : kSizes) {
-        std::vector<int8_t> a(n), b(n);
-        for (size_t i = 0; i < n; ++i) {
-            a[i] = static_cast<int8_t>(rng.uniformInt(-127, 127));
-            b[i] = static_cast<int8_t>(rng.uniformInt(-127, 127));
-        }
-        int64_t ref = 0;
-        for (size_t i = 0; i < n; ++i)
-            ref += static_cast<int64_t>(a[i]) * b[i];
-        EXPECT_EQ(simd::scalar::dotI8(a.data(), b.data(), n), ref)
-            << "n=" << n;
-        if (avx2Live())
-            EXPECT_EQ(simd::avx2::dotI8(a.data(), b.data(), n), ref)
-                << "n=" << n;
-    }
-}
-
 TEST(SimdMatmul, BitwiseIdenticalAcrossDispatchAtTailSizes)
 {
     util::Rng rng(0xf6);
@@ -423,38 +400,4 @@ TEST(SimdJaccard, FractionalWeightsUseLegacyPath)
             EXPECT_EQ(m.at(i, j),
                       distance::jaccardDistance(sets[i], sets[j]))
                 << "pair " << i << "," << j;
-}
-
-TEST(SimdQuantized, CosineWithinDeclaredTolerance)
-{
-    // The int8 path declares ~0.02 absolute error for 32-d embeddings
-    // (DESIGN.md §3.12); assert with headroom at 0.03.
-    embed::TextEmbedder embedder(32);
-    const std::vector<std::string> texts = {
-        "checkout charge card",  "checkout refund card",
-        "inventory reserve sku", "frontend render page",
-        "frontend render page",  "auth verify token",
-    };
-    for (const std::string &a : texts) {
-        for (const std::string &b : texts) {
-            const double exact =
-                embedder.cosine(embedder.embed(a), embedder.embed(b));
-            const double quant = embed::TextEmbedder::cosineQuantized(
-                embedder.embedQuantized(a), embedder.embedQuantized(b));
-            EXPECT_NEAR(quant, exact, 0.03) << a << " vs " << b;
-        }
-    }
-}
-
-TEST(SimdQuantized, ExactAcrossDispatch)
-{
-    // Integer dots are exact in any order: the quantized cosine must be
-    // bitwise identical with SIMD on and off.
-    embed::TextEmbedder embedder(32);
-    embed::QuantizedEmbedding a = embedder.embedQuantized("pay charge");
-    embed::QuantizedEmbedding b = embedder.embedQuantized("cart fetch");
-    const double on = embed::TextEmbedder::cosineQuantized(a, b);
-    simd::ScopedForceScalar guard;
-    const double off = embed::TextEmbedder::cosineQuantized(a, b);
-    EXPECT_EQ(std::memcmp(&on, &off, sizeof on), 0);
 }

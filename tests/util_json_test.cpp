@@ -132,6 +132,38 @@ TEST(Json, ReportsErrors)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(Json, NestingDepthIsBounded)
+{
+    // Exactly kMaxDepth levels parse; one more is a recoverable error
+    // naming the limit. Far deeper input (which used to overflow the
+    // parser's stack) fails the same way.
+    auto nested = [](size_t depth, const std::string &open,
+                     const std::string &close) {
+        std::string text;
+        for (size_t i = 0; i < depth; ++i)
+            text += open;
+        text += "0";
+        for (size_t i = 0; i < depth; ++i)
+            text += close;
+        return text;
+    };
+    std::string err;
+    Json ok = Json::parse(nested(Json::kMaxDepth, "[", "]"), &err);
+    EXPECT_TRUE(err.empty()) << err;
+    EXPECT_EQ(ok.type(), Json::Type::Array);
+
+    Json::parse(nested(Json::kMaxDepth + 1, "[", "]"), &err);
+    EXPECT_NE(err.find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << err;
+    Json::parse(nested(200000, "[", ""), &err);
+    EXPECT_NE(err.find("nesting deeper than 256"), std::string::npos)
+        << err;
+    Json::parse(nested(50000, "{\"k\":", "}"), &err);
+    EXPECT_NE(err.find("nesting deeper than 256"), std::string::npos)
+        << err;
+}
+
 TEST(Json, RoundTripsCompact)
 {
     std::string text =

@@ -70,6 +70,24 @@ if(NOT out MATCHES "no recoverable state")
     message(FATAL_ERROR "empty-store infer error absent: ${out}")
 endif()
 
+# --- JSON nesting: input nested past util::Json::kMaxDepth is a
+# recoverable parse error naming the limit, not a stack overflow. ---
+
+string(REPEAT "[" 200000 deep_arrays)
+file(WRITE ${WORK_DIR}/deep-arrays.json "${deep_arrays}")
+run_expect(1 out ${SLEUTH_BIN} ingest --traces ${WORK_DIR}/deep-arrays.json)
+if(NOT out MATCHES "nesting deeper than 256 levels")
+    message(FATAL_ERROR "ingest depth-limit error absent: ${out}")
+endif()
+
+string(REPEAT "{\"a\":" 50000 deep_objects)
+file(WRITE ${WORK_DIR}/deep-objects.json "${deep_objects}")
+run_expect(1 out ${SLEUTH_BIN} infer --traces ${WORK_DIR}/deep-objects.json
+           --out ${WORK_DIR}/m.json)
+if(NOT out MATCHES "nesting deeper than 256 levels")
+    message(FATAL_ERROR "infer depth-limit error absent: ${out}")
+endif()
+
 # --- Config parsing: a malformed enum is a recoverable per-field
 # error naming the offending path, not an opaque abort. ---
 

@@ -7,6 +7,10 @@
 #   - online_incremental_test  cached <-> uncached incident re-analysis
 #   - pruner_test          conservative pruned ≡ full pipeline
 #   - pipeline_cache_test  warm ≡ cold re-poll, invalidation fallback
+#   - pipeline_test        1/2/8-thread determinism, default matrix ≡
+#                          caller-built Jaccard matrix
+#   - obs_determinism_test results identical with metrics on/off and
+#                          at 1/2/8 threads
 #   - campaign_corpus      pinned repro cases (incl. pruned-vs-full and
 #                          incremental-repoll invariants)
 #
