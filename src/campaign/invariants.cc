@@ -1152,9 +1152,7 @@ checkCrashRecovery(const ScenarioRun &run, const CheckContext &ctx)
         if (!again.ok)
             return fail("post-drain replay failed" + at + ": " +
                         again.error);
-        uint64_t replay_fp = online::servingStateFingerprint(
-            state.store, state.detector, state.incidents,
-            state.watermarkUs, state.tracesStored, state.lastRecordId);
+        uint64_t replay_fp = online::servingStateFingerprint(state);
         if (replay_fp != recovered_fp)
             return fail("post-drain replay diverges from the live "
                         "recovered service" + at);
@@ -1306,9 +1304,7 @@ checkWalTornTail(const ScenarioRun &run, const CheckContext &)
                             "is not the empty state");
             return pass();
         }
-        uint64_t fp = online::servingStateFingerprint(
-            state.store, state.detector, state.incidents,
-            state.watermarkUs, state.tracesStored, state.lastRecordId);
+        uint64_t fp = online::servingStateFingerprint(state);
         if (fp != reference[polls])
             return fail(label + ": recovery does not equal the live "
                         "state after " + std::to_string(polls) +
@@ -1554,9 +1550,8 @@ checkOnlineSoak(const ScenarioRun &run, const CheckContext &)
     // the backlog fully drains at each quiet horizon (the ring never
     // wedges), the store never exceeds its span budget (eviction, not
     // growth, is the steady-state mechanism), and the accounting
-    // ledger balances at the end. This is the campaign-sized mirror
-    // of `online_suite --soak`, which additionally samples RSS; here
-    // the bounded-memory proxies are exact span counts.
+    // ledger balances at the end. The bounded-memory proxies are
+    // exact span counts, not RSS samples.
     online::OnlineConfig cfg;
     cfg.pipeline = run.scenario.pipelineConfig();
     cfg.detector.bucketUs = 1'000'000;

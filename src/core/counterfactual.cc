@@ -156,10 +156,8 @@ CounterfactualRca::analyze(const trace::Trace &trace, int64_t slo_us,
                 dirty.push_back(static_cast<int>(i));
         }
 
-        TracePrediction pred = params_.incrementalPropagation
-            ? model_.propagateFrom(batch, graph, states, baseline,
-                                   dirty)
-            : model_.propagate(batch, graph, states);
+        TracePrediction pred = model_.propagateFrom(
+            batch, graph, states, baseline, dirty);
         ++result.iterations;
         bool latency_ok = pred.rootDurationUs <= adjusted_slo;
         // Error check: model-predicted recovery, or — analytically —

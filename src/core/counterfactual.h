@@ -8,11 +8,13 @@
  * if a chosen set of services were restored to their normal state
  * (exclusive durations at their medians, exclusive errors cleared)?
  * Sleuth ranks candidate services by their aggregate exclusive error
- * count and excess exclusive duration, then iteratively restores them —
- * re-running the GNN bottom-up each time — until the trace is predicted
- * normal; the restored services are the root causes. Root-cause pods,
- * nodes, and containers follow from the span resource attributes of the
- * implicated services.
+ * count and excess exclusive duration, then iteratively restores them
+ * until the trace is predicted normal; the restored services are the
+ * root causes. Each query re-evaluates only the restored spans and
+ * their ancestor chains against the memoized baseline prediction
+ * (SleuthGnn::propagateFrom, exact against a full bottom-up pass).
+ * Root-cause pods, nodes, and containers follow from the span resource
+ * attributes of the implicated services.
  */
 
 #include <set>
@@ -48,15 +50,6 @@ struct RcaParams
      * the trace's SLO.
      */
     double errorWeightUs = 0.0;
-    /**
-     * Answer each counterfactual with SleuthGnn::propagateFrom —
-     * re-evaluating only the restored spans and their ancestor chains
-     * against the memoized baseline — instead of re-running the full
-     * bottom-up pass per candidate. Numerically identical verdicts
-     * (the recomputed closure is exact); kept as a switch for the
-     * perf ablation.
-     */
-    bool incrementalPropagation = true;
 };
 
 /** Output of one RCA query. */

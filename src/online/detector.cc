@@ -197,14 +197,17 @@ StormDetector::encodeState(util::BinaryWriter &w) const
 bool
 StormDetector::decodeState(util::BinaryReader &r)
 {
+    // Smallest encodings (see encodeState): an endpoint with a blank
+    // name and no slots, and a bucket whose sketch holds no buckets.
+    constexpr size_t kMinEndpointBytes = 4 + 1 + 4;
+    constexpr size_t kMinBucketBytes = 4 * 8 + 4 * 8 + 4;
     endpoints_.clear();
-    uint32_t n = r.u32();
+    uint32_t n = r.count(kMinEndpointBytes);
     for (uint32_t i = 0; i < n && r.ok(); ++i) {
         std::string name = r.str();
         Endpoint ep;
         ep.storming = r.u8() != 0;
-        uint32_t slots = r.u32();
-        ep.ring.resize(slots);
+        ep.ring.resize(r.count(kMinBucketBytes));
         for (Bucket &b : ep.ring) {
             b.index = r.i64();
             b.count = r.u64();

@@ -70,7 +70,7 @@ decodePollMarkerPayload(std::string_view payload, PollMarkerPayload *m)
     m->storeRecords = r.u64();
     m->storeSpans = r.u64();
     m->internerSize = r.u64();
-    uint32_t n = r.u32();
+    uint32_t n = r.count(8);
     m->advanceWatermarks.clear();
     m->advanceWatermarks.reserve(n);
     for (uint32_t i = 0; i < n && r.ok(); ++i)
@@ -311,47 +311,29 @@ appendSpanBatchRecord(util::BinaryWriter &w,
 std::string
 encodeSnapshotPayload(const DurableServingState &state)
 {
-    return encodeSnapshotPayload(state.store, state.detectorConfig,
-                                 state.detector, state.incidents,
-                                 state.watermarkUs, state.tracesStored,
-                                 state.lastRecordId);
-}
-
-std::string
-encodeSnapshotPayload(const storage::TraceStore &store,
-                      const DetectorConfig &detectorConfig,
-                      const StormDetector &detector,
-                      const std::vector<Incident> &incidents,
-                      int64_t watermarkUs, size_t tracesStored,
-                      size_t lastRecordId)
-{
     util::BinaryWriter w;
     w.u32(kStateFormatVersion);
-    encodeDetectorConfig(w, detectorConfig);
-    store.encodeState(w);
-    detector.encodeState(w);
-    w.u32(static_cast<uint32_t>(incidents.size()));
-    for (const Incident &incident : incidents)
+    encodeDetectorConfig(w, state.detectorConfig);
+    state.store.encodeState(w);
+    state.detector.encodeState(w);
+    w.u32(static_cast<uint32_t>(state.incidents.size()));
+    for (const Incident &incident : state.incidents)
         encodeIncident(w, incident);
-    w.i64(watermarkUs);
-    w.u64(tracesStored);
-    w.u64(lastRecordId);
-    w.u64(store.contentFingerprint());
+    w.i64(state.watermarkUs);
+    w.u64(state.tracesStored);
+    w.u64(state.lastRecordId);
+    w.u64(state.store.contentFingerprint());
     return w.take();
 }
 
 uint64_t
-servingStateFingerprint(const storage::TraceStore &store,
-                        const StormDetector &detector,
-                        const std::vector<Incident> &incidents,
-                        int64_t watermarkUs, size_t tracesStored,
-                        size_t lastRecordId)
+servingStateFingerprint(const DurableServingState &state)
 {
     util::BinaryWriter w;
-    store.encodeState(w);
-    detector.encodeState(w);
-    w.u32(static_cast<uint32_t>(incidents.size()));
-    for (const Incident &incident : incidents) {
+    state.store.encodeState(w);
+    state.detector.encodeState(w);
+    w.u32(static_cast<uint32_t>(state.incidents.size()));
+    for (const Incident &incident : state.incidents) {
         // rcaMillis is wall-clock (how long the RCA took in whichever
         // process ran it); every other incident field is event-time
         // deterministic. A recovered service carries the crashed
@@ -361,9 +343,9 @@ servingStateFingerprint(const storage::TraceStore &store,
         canonical.rcaMillis = 0.0;
         encodeIncident(w, canonical);
     }
-    w.i64(watermarkUs);
-    w.u64(tracesStored);
-    w.u64(lastRecordId);
+    w.i64(state.watermarkUs);
+    w.u64(state.tracesStored);
+    w.u64(state.lastRecordId);
     return util::fnv1a(w.buffer());
 }
 
@@ -390,13 +372,13 @@ decodeSnapshotPayload(std::string_view payload,
         *err = "corrupt snapshot detector section";
         return false;
     }
-    uint32_t nIncidents = r.u32();
-    s.incidents.resize(nIncidents);
-    for (uint32_t i = 0; i < nIncidents && r.ok(); ++i) {
-        if (!decodeIncident(r, &s.incidents[i])) {
-            *err = "corrupt snapshot incident section";
-            return false;
-        }
+    s.incidents.resize(r.count(kMinEncodedIncidentBytes));
+    bool incidentsOk = r.ok();
+    for (size_t i = 0; i < s.incidents.size() && incidentsOk; ++i)
+        incidentsOk = decodeIncident(r, &s.incidents[i]);
+    if (!incidentsOk) {
+        *err = "corrupt snapshot incident section";
+        return false;
     }
     s.watermarkUs = r.i64();
     s.tracesStored = r.u64();

@@ -147,29 +147,15 @@ void appendSpanBatchRecord(util::BinaryWriter &w,
     the store content fingerprint, verified on decode). */
 std::string encodeSnapshotPayload(const DurableServingState &state);
 
-/** Component-wise variant for the live service (no state copy). */
-std::string
-encodeSnapshotPayload(const storage::TraceStore &store,
-                      const DetectorConfig &detectorConfig,
-                      const StormDetector &detector,
-                      const std::vector<Incident> &incidents,
-                      int64_t watermarkUs, size_t tracesStored,
-                      size_t lastRecordId);
-
 /**
  * Exact fingerprint of the full serving state — store, detector rings,
  * incidents, watermark, counters — via the durable byte image, minus
- * the one wall-clock field (Incident::rcaMillis, excluded so recovered
- * state can compare across processes). The crash-recovery campaign
- * invariant requires a recovered service to fingerprint equal to the
- * uninterrupted run.
+ * the detector configuration and the one wall-clock field
+ * (Incident::rcaMillis, excluded so recovered state can compare across
+ * processes). The crash-recovery campaign invariant requires a
+ * recovered service to fingerprint equal to the uninterrupted run.
  */
-uint64_t
-servingStateFingerprint(const storage::TraceStore &store,
-                        const StormDetector &detector,
-                        const std::vector<Incident> &incidents,
-                        int64_t watermarkUs, size_t tracesStored,
-                        size_t lastRecordId);
+uint64_t servingStateFingerprint(const DurableServingState &state);
 
 /** Inverse of encodeSnapshotPayload(); false + *err on corruption or
     fingerprint mismatch. */

@@ -67,6 +67,16 @@ toJson(const Incident &incident)
 
 namespace {
 
+// Smallest encoding of each element a decoded count sizes (every
+// string at its 4-byte length prefix, every list empty). A count the
+// unread payload cannot hold at these sizes is rejected before any
+// allocation (util::BinaryReader::count).
+constexpr size_t kMinStringBytes = 4;
+constexpr size_t kMinSpanBytes = 7 * kMinStringBytes + 2 * 1 + 2 * 8;
+constexpr size_t kMinTraceBytes = kMinStringBytes + 4;
+constexpr size_t kMinRcaBytes = 4 * 4 + 8 + 1 + kMinStringBytes;
+constexpr size_t kMinRankedBytes = kMinStringBytes + 8;
+
 /** Row-oriented trace codec: incidents snapshot materialized traces,
     so they serialize by rows (the store's columns are logged
     separately and the two must not share an interner). */
@@ -94,7 +104,7 @@ bool
 decodeTrace(util::BinaryReader &r, trace::Trace *t)
 {
     t->traceId = r.str();
-    uint32_t n = r.u32();
+    uint32_t n = r.count(kMinSpanBytes);
     t->spans.clear();
     t->spans.reserve(n);
     for (uint32_t i = 0; i < n && r.ok(); ++i) {
@@ -127,7 +137,7 @@ encodeStringVec(util::BinaryWriter &w,
 bool
 decodeStringVec(util::BinaryReader &r, std::vector<std::string> *v)
 {
-    uint32_t n = r.u32();
+    uint32_t n = r.count(kMinStringBytes);
     v->clear();
     v->reserve(n);
     for (uint32_t i = 0; i < n && r.ok(); ++i)
@@ -146,7 +156,7 @@ encodeStringSet(util::BinaryWriter &w, const std::set<std::string> &v)
 bool
 decodeStringSet(util::BinaryReader &r, std::set<std::string> *v)
 {
-    uint32_t n = r.u32();
+    uint32_t n = r.count(kMinStringBytes);
     v->clear();
     for (uint32_t i = 0; i < n && r.ok(); ++i)
         v->insert(r.str());
@@ -201,13 +211,13 @@ encodePipelineResult(util::BinaryWriter &w,
 bool
 decodePipelineResult(util::BinaryReader &r, core::PipelineResult *v)
 {
-    uint32_t n = r.u32();
+    uint32_t n = r.count(kMinRcaBytes);
     v->perTrace.clear();
     v->perTrace.resize(n);
     for (uint32_t i = 0; i < n && r.ok(); ++i)
         if (!decodeRca(r, &v->perTrace[i]))
             return false;
-    uint32_t labels = r.u32();
+    uint32_t labels = r.count(8);
     v->clusterLabels.clear();
     v->clusterLabels.reserve(labels);
     for (uint32_t i = 0; i < labels && r.ok(); ++i)
@@ -271,18 +281,18 @@ decodeIncident(util::BinaryReader &r, Incident *incident)
     incident->windowStartUs = r.i64();
     incident->windowEndUs = r.i64();
     incident->snapshotMaxRecordId = r.u64();
-    uint32_t nAnomalous = r.u32();
+    uint32_t nAnomalous = r.count(kMinTraceBytes);
     incident->anomalousTraces.clear();
     incident->anomalousTraces.resize(nAnomalous);
     for (uint32_t i = 0; i < nAnomalous && r.ok(); ++i)
         if (!decodeTrace(r, &incident->anomalousTraces[i]))
             return false;
-    uint32_t nSlos = r.u32();
+    uint32_t nSlos = r.count(8);
     incident->slos.clear();
     incident->slos.reserve(nSlos);
     for (uint32_t i = 0; i < nSlos && r.ok(); ++i)
         incident->slos.push_back(r.i64());
-    uint32_t nNormal = r.u32();
+    uint32_t nNormal = r.count(kMinTraceBytes);
     incident->normalSample.clear();
     incident->normalSample.resize(nNormal);
     for (uint32_t i = 0; i < nNormal && r.ok(); ++i)
@@ -291,7 +301,7 @@ decodeIncident(util::BinaryReader &r, Incident *incident)
     incident->normalsConsidered = r.u64();
     if (!decodePipelineResult(r, &incident->rca))
         return false;
-    uint32_t nRanked = r.u32();
+    uint32_t nRanked = r.count(kMinRankedBytes);
     incident->rankedRootCauses.clear();
     incident->rankedRootCauses.reserve(nRanked);
     for (uint32_t i = 0; i < nRanked && r.ok(); ++i) {

@@ -91,4 +91,8 @@ void encodeIncident(util::BinaryWriter &w, const Incident &incident);
 /** Inverse of encodeIncident(); false on short/invalid input. */
 bool decodeIncident(util::BinaryReader &r, Incident *incident);
 
+/** Size of the smallest encoded incident (every list empty, every
+    string blank): the per-element bound on a decoded incident count. */
+constexpr size_t kMinEncodedIncidentBytes = 157;
+
 } // namespace sleuth::online

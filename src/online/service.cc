@@ -59,10 +59,11 @@ OnlineService::OnlineService(const core::SleuthGnn &model,
                              OnlineConfig config)
     : config_(std::move(config)),
       pipeline_(model, encoder, profile, config_.pipeline),
-      cache_(config_.cacheConfig),
-      store_(config_.retention),
-      detector_(config_.detector)
+      cache_(config_.cacheConfig)
 {
+    state_.store = storage::TraceStore(config_.retention);
+    state_.detectorConfig = config_.detector;
+    state_.detector = StormDetector(config_.detector);
     SLEUTH_ASSERT(config_.ingestShards > 0,
                   "at least one ingest shard is required");
     SLEUTH_ASSERT(config_.ringCapacitySpans > 0,
@@ -233,19 +234,19 @@ OnlineService::absorb(std::vector<trace::Trace> traces)
         obs.anomalous =
             obs.error || (prof.sloUs > 0 && obs.durationUs > prof.sloUs);
 
-        last_record_id_ =
-            store_.insert(std::move(t), prof.sloUs, prof.flowIndex);
-        ++traces_stored_;
+        state_.lastRecordId =
+            state_.store.insert(std::move(t), prof.sloUs, prof.flowIndex);
+        ++state_.tracesStored;
         // Capture the record's bytes while it is guaranteed live (a
         // record is never evicted during its own insert; see the
         // poll_batch_ comment in service.h).
         if (durable_log_) {
             appendSpanBatchRecord(poll_batch_,
-                                  store_.at(last_record_id_));
+                                  state_.store.at(state_.lastRecordId));
             ++poll_batch_count_;
         }
 
-        detector_.observe(obs);
+        state_.detector.observe(obs);
     }
     static obs::Counter &stored = obs::counter(
         "sleuth_service_traces_stored_total",
@@ -289,7 +290,8 @@ OnlineService::poll(int64_t nowUs)
         "Traces completed per service poll");
     batch.record(static_cast<double>(completed.size()));
     absorb(std::move(completed));
-    watermark_ = std::max(watermark_, nowUs - config_.assembler.latenessUs);
+    state_.watermarkUs = std::max(state_.watermarkUs,
+                                  nowUs - config_.assembler.latenessUs);
     // Instantaneous health gauges, refreshed once per poll.
     static obs::Gauge &backlog = obs::gauge(
         "sleuth_service_backlog_spans",
@@ -305,9 +307,9 @@ OnlineService::poll(int64_t nowUs)
         "Trace records currently retained by the online store");
     backlog.set(static_cast<int64_t>(pending_spans));
     pendingTraces.set(static_cast<int64_t>(pending_traces));
-    lag.set(nowUs - watermark_);
-    stored.set(static_cast<int64_t>(store_.size()));
-    std::vector<size_t> changed = evaluate(watermark_);
+    lag.set(nowUs - state_.watermarkUs);
+    stored.set(static_cast<int64_t>(state_.store.size()));
+    std::vector<size_t> changed = evaluate(state_.watermarkUs);
     if (durable_log_)
         commitPoll(changed);
     return changed;
@@ -337,15 +339,15 @@ OnlineService::drainAll(int64_t nowUs)
               });
     absorb(std::move(completed));
     // Evaluate at nowUs itself: the flush already forfeited lateness.
-    watermark_ = std::max(watermark_, nowUs);
-    std::vector<size_t> more = evaluate(watermark_);
+    state_.watermarkUs = std::max(state_.watermarkUs, nowUs);
+    std::vector<size_t> more = evaluate(state_.watermarkUs);
     changed.insert(changed.end(), more.begin(), more.end());
     // The stream is over: advance past every detection window so the
     // storms observe the silence, clear, and resolve open incidents.
-    watermark_ +=
+    state_.watermarkUs +=
         (static_cast<int64_t>(config_.detector.windowBuckets) + 1) *
         config_.detector.bucketUs;
-    more = evaluate(watermark_);
+    more = evaluate(state_.watermarkUs);
     changed.insert(changed.end(), more.begin(), more.end());
     std::sort(changed.begin(), changed.end());
     changed.erase(std::unique(changed.begin(), changed.end()),
@@ -366,17 +368,17 @@ OnlineService::evaluate(int64_t watermark_us)
     if (durable_log_)
         pending_advances_.push_back(watermark_us);
     std::vector<StormTransition> transitions =
-        detector_.advance(watermark_us);
+        state_.detector.advance(watermark_us);
     std::vector<size_t> changed;
 
     // At most one incident is open at a time: concurrent endpoint
     // storms are one outage seen from several endpoints.
     Incident *open = nullptr;
     size_t open_index = 0;
-    if (!incidents_.empty() &&
-        incidents_.back().state != Incident::State::Resolved) {
-        open = &incidents_.back();
-        open_index = incidents_.size() - 1;
+    if (!state_.incidents.empty() &&
+        state_.incidents.back().state != Incident::State::Resolved) {
+        open = &state_.incidents.back();
+        open_index = state_.incidents.size() - 1;
     }
 
     std::vector<std::string> onsets;
@@ -387,13 +389,13 @@ OnlineService::evaluate(int64_t watermark_us)
     if (!onsets.empty()) {
         if (open == nullptr) {
             Incident incident;
-            incident.id = incidents_.size();
+            incident.id = state_.incidents.size();
             incident.state = Incident::State::Open;
             incident.openedAtUs = watermark_us;
             incident.endpoints = onsets;
-            incidents_.push_back(std::move(incident));
-            open = &incidents_.back();
-            open_index = incidents_.size() - 1;
+            state_.incidents.push_back(std::move(incident));
+            open = &state_.incidents.back();
+            open_index = state_.incidents.size() - 1;
             static obs::Counter &opened = obs::counter(
                 "sleuth_service_incidents_total",
                 "Incident lifecycle events", {{"event", "opened"}});
@@ -416,13 +418,13 @@ OnlineService::evaluate(int64_t watermark_us)
     // the delta since the previous snapshot.
     if (config_.reanalyzeOpenIncidents && open != nullptr &&
         open->state == Incident::State::Analyzed &&
-        !detector_.stormingEndpoints().empty() &&
-        last_record_id_ != open->snapshotMaxRecordId) {
+        !state_.detector.stormingEndpoints().empty() &&
+        state_.lastRecordId != open->snapshotMaxRecordId) {
         analyzeIncident(open, watermark_us);
         changed.push_back(open_index);
     }
 
-    if (open != nullptr && detector_.stormingEndpoints().empty()) {
+    if (open != nullptr && state_.detector.stormingEndpoints().empty()) {
         open->state = Incident::State::Resolved;
         open->resolvedAtUs = watermark_us;
         static obs::Counter &resolved = obs::counter(
@@ -469,12 +471,12 @@ OnlineService::analyzeIncident(Incident *incident, int64_t watermark_us)
     // Pin the store high-water mark: traces finishing assembly after
     // this point may carry start times inside the window but were not
     // part of the snapshot. Queries filtered by id <= this reproduce it.
-    incident->snapshotMaxRecordId = last_record_id_;
+    incident->snapshotMaxRecordId = state_.lastRecordId;
 
     storage::Query q;
     q.minStartUs = incident->windowStartUs;
     q.maxStartUs = incident->windowEndUs;
-    std::vector<const storage::Record *> window = store_.query(q);
+    std::vector<const storage::Record *> window = state_.store.query(q);
 
     std::vector<const storage::Record *> normals;
     for (const storage::Record *r : window) {
@@ -548,7 +550,7 @@ OnlineService::analyzeIncident(Incident *incident, int64_t watermark_us)
     // consulted when the pipeline's prune mode is on).
     core::PruneSignals signals;
     for (const std::string &e : incident->endpoints) {
-        WindowStats ws = detector_.windowStats(e, watermark_us);
+        WindowStats ws = state_.detector.windowStats(e, watermark_us);
         core::EndpointSignal sig;
         sig.anomalousFraction =
             ws.count > 0 ? static_cast<double>(ws.anomalous) /
@@ -586,8 +588,9 @@ OnlineService::enableDurability(const durable::DurableConfig &cfg,
 {
     SLEUTH_ASSERT(durable_log_ == nullptr,
                   "durability is already enabled");
-    SLEUTH_ASSERT(traces_stored_ == 0 && store_.size() == 0 &&
-                      incidents_.empty(),
+    SLEUTH_ASSERT(state_.tracesStored == 0 &&
+                      state_.store.size() == 0 &&
+                      state_.incidents.empty(),
                   "enable durability on a fresh service, before "
                   "any ingest");
 
@@ -608,18 +611,16 @@ OnlineService::enableDurability(const durable::DurableConfig &cfg,
         return info;
 
     // Install the recovered state wholesale: the replayed store owns
-    // its own interner and the detector its rebuilt rings. Eviction
-    // tracking goes on BEFORE the retention policy is re-applied so a
-    // config shrink's evictions land in the first commit group.
-    store_ = std::move(state.store);
-    store_.trackEvictions(true);
-    store_.setRetention(config_.retention);
-    detector_ = std::move(state.detector);
-    incidents_ = std::move(state.incidents);
-    watermark_ = state.watermarkUs;
-    traces_stored_ = state.tracesStored;
-    last_record_id_ = state.lastRecordId;
-    interner_logged_ = store_.interner()->size();
+    // its own interner and the detector its rebuilt rings. Snapshots
+    // keep recording the service's own detector configuration.
+    // Eviction tracking goes on BEFORE the retention policy is
+    // re-applied so a config shrink's evictions land in the first
+    // commit group.
+    state_ = std::move(state);
+    state_.detectorConfig = config_.detector;
+    state_.store.trackEvictions(true);
+    state_.store.setRetention(config_.retention);
+    interner_logged_ = state_.store.interner()->size();
 
     // Late-span semantics must survive the restart: a committed poll
     // at nowUs left every assembler's watermark at nowUs - latenessUs,
@@ -627,9 +628,9 @@ OnlineService::enableDurability(const durable::DurableConfig &cfg,
     // fresh assemblers' clocks from it so a span the crashed process
     // would have rejected as late (at-least-once upstreams redeliver
     // the tail, stragglers included) is rejected identically here.
-    if (watermark_ != std::numeric_limits<int64_t>::min())
+    if (state_.watermarkUs != std::numeric_limits<int64_t>::min())
         for (auto &shard : shards_)
-            shard->assembler.drain(watermark_ +
+            shard->assembler.drain(state_.watermarkUs +
                                    config_.assembler.latenessUs);
 
     std::string err;
@@ -649,9 +650,7 @@ OnlineService::snapshotNow(std::string *err)
 {
     SLEUTH_ASSERT(durable_log_ != nullptr,
                   "snapshotNow requires durability to be enabled");
-    std::string payload = encodeSnapshotPayload(
-        store_, config_.detector, detector_, incidents_, watermark_,
-        traces_stored_, last_record_id_);
+    std::string payload = encodeSnapshotPayload(state_);
     std::string e;
     if (!durable_log_->rotateWithSnapshot(
             payload, encodeEpochPayload(config_.detector), &e)) {
@@ -667,9 +666,7 @@ OnlineService::snapshotNow(std::string *err)
 uint64_t
 OnlineService::servingFingerprint() const
 {
-    return servingStateFingerprint(store_, detector_, incidents_,
-                                   watermark_, traces_stored_,
-                                   last_record_id_);
+    return servingStateFingerprint(state_);
 }
 
 void
@@ -679,7 +676,7 @@ OnlineService::commitPoll(const std::vector<size_t> &changed)
     // batch's raw u32 ids reference it), then the batch, the eviction
     // summary, incident updates, and the sealing marker. The group
     // fsync (policy=group) lands on the marker via commit().
-    const auto &interner = store_.interner();
+    const auto &interner = state_.store.interner();
     size_t interned = interner->size();
     if (interned > interner_logged_) {
         durable_log_->append(
@@ -694,21 +691,21 @@ OnlineService::commitPoll(const std::vector<size_t> &changed)
                              poll_batch_.take());
         poll_batch_count_ = 0;
     }
-    std::vector<size_t> evicted = store_.takeRecentEvictions();
+    std::vector<size_t> evicted = state_.store.takeRecentEvictions();
     if (!evicted.empty())
         durable_log_->append(durable::RecordKind::Eviction,
                              encodeEvictionPayload(evicted));
     for (size_t index : changed)
         durable_log_->append(
             durable::RecordKind::IncidentUpdate,
-            encodeIncidentUpdatePayload(index, incidents_[index]));
+            encodeIncidentUpdatePayload(index, state_.incidents[index]));
 
     PollMarkerPayload marker;
-    marker.watermarkUs = watermark_;
-    marker.lastRecordId = last_record_id_;
-    marker.tracesStored = traces_stored_;
-    marker.storeRecords = store_.size();
-    marker.storeSpans = store_.totalSpans();
+    marker.watermarkUs = state_.watermarkUs;
+    marker.lastRecordId = state_.lastRecordId;
+    marker.tracesStored = state_.tracesStored;
+    marker.storeRecords = state_.store.size();
+    marker.storeSpans = state_.store.totalSpans();
     marker.internerSize = interner->size();
     marker.advanceWatermarks = std::move(pending_advances_);
     pending_advances_.clear();
@@ -756,8 +753,8 @@ OnlineService::stats() const
             s.assembly.droppedRingFull += unflushed;
         }
     }
-    s.tracesStored = traces_stored_;
-    for (const Incident &i : incidents_) {
+    s.tracesStored = state_.tracesStored;
+    for (const Incident &i : state_.incidents) {
         ++s.incidentsOpened;
         if (i.state != Incident::State::Open)
             ++s.incidentsAnalyzed;
@@ -789,11 +786,11 @@ OnlineService::statsJson() const
     doc.set("drops", std::move(drops));
     doc.set("shedPolicy", std::string(toString(config_.shedPolicy)));
     doc.set("backlogSpans", backlogSpans());
-    doc.set("watermarkUs", watermark_);
-    doc.set("storedRecords", store_.size());
-    doc.set("storedSpans", store_.totalSpans());
-    doc.set("evictedRecords", store_.evictions().records);
-    doc.set("evictedSpans", store_.evictions().spans);
+    doc.set("watermarkUs", state_.watermarkUs);
+    doc.set("storedRecords", state_.store.size());
+    doc.set("storedSpans", state_.store.totalSpans());
+    doc.set("evictedRecords", state_.store.evictions().records);
+    doc.set("evictedSpans", state_.store.evictions().spans);
     doc.set("incidentsOpened", s.incidentsOpened);
     doc.set("incidentsAnalyzed", s.incidentsAnalyzed);
     doc.set("incidentsResolved", s.incidentsResolved);

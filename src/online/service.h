@@ -207,13 +207,17 @@ class OnlineService
     std::vector<size_t> drainAll(int64_t nowUs);
 
     /** All incidents, in open order. */
-    const std::vector<Incident> &incidents() const { return incidents_; }
+    const std::vector<Incident> &
+    incidents() const
+    {
+        return state_.incidents;
+    }
 
     /** The backing trace store (snapshot queries, tests, tools). */
-    const storage::TraceStore &store() const { return store_; }
+    const storage::TraceStore &store() const { return state_.store; }
 
     /** Current watermark (event time). */
-    int64_t watermarkUs() const { return watermark_; }
+    int64_t watermarkUs() const { return state_.watermarkUs; }
 
     /** Assembly backlog across shards (spans). */
     size_t backlogSpans() const;
@@ -321,15 +325,14 @@ class OnlineService
     core::SleuthPipeline pipeline_;
     core::PipelineCache cache_;
     std::vector<std::unique_ptr<Shard>> shards_;
-    storage::TraceStore store_;
-    StormDetector detector_;
-    std::vector<Incident> incidents_;
-    int64_t watermark_ = INT64_MIN;
-    size_t traces_stored_ = 0;
+    /**
+     * Everything the durable layer checkpoints and rebuilds: store,
+     * detector, incidents, watermark, and the record counters
+     * (lastRecordId is the snapshot high-water mark).
+     */
+    DurableServingState state_;
     /** Ingest count already flushed into the obs registry (poll()). */
     size_t obs_ingested_flushed_ = 0;
-    /** Id of the most recently stored record (snapshot high-water). */
-    size_t last_record_id_ = 0;
 
     /** Durable store (null until enableDurability()). */
     std::unique_ptr<durable::DurableLog> durable_log_;

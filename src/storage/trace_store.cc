@@ -315,7 +315,12 @@ TraceStore::decodeState(util::BinaryReader &r)
     evictions.records = r.u64();
     evictions.spans = r.u64();
 
-    uint32_t nNames = r.u32();
+    // Smallest encodings (see encodeState): a blank name, and a record
+    // of an empty trace (id, slo, flow, trace id, root, span count,
+    // arena).
+    constexpr size_t kMinNameBytes = 4;
+    constexpr size_t kMinRecordBytes = 3 * 8 + 4 + 8 + 4 + 4;
+    uint32_t nNames = r.count(kMinNameBytes);
     for (uint32_t i = 0; i < nNames && r.ok(); ++i) {
         std::string s = r.str();
         uint32_t id = interner_->intern(s);
@@ -325,7 +330,7 @@ TraceStore::decodeState(util::BinaryReader &r)
     if (!r.ok())
         return false;
 
-    uint32_t nRecords = r.u32();
+    uint32_t nRecords = r.count(kMinRecordBytes);
     for (uint32_t i = 0; i < nRecords && r.ok(); ++i) {
         size_t id = r.u64();
         int64_t sloUs = r.i64();

@@ -133,6 +133,23 @@ class BinaryReader
         return out;
     }
 
+    /**
+     * A u32 element count that sizes a container. Every element takes
+     * at least `minElementBytes` encoded bytes, so a count the unread
+     * bytes cannot hold is corrupt: it sets the sticky error and
+     * returns 0 before the caller allocates for it.
+     */
+    uint32_t
+    count(size_t minElementBytes)
+    {
+        uint32_t n = u32();
+        if (static_cast<uint64_t>(n) * minElementBytes > remaining()) {
+            ok_ = false;
+            return 0;
+        }
+        return n;
+    }
+
     /** Raw view of the next n bytes (empty + error when short). */
     std::string_view
     view(size_t n)

@@ -1,13 +1,16 @@
 // Durable replay engine (DESIGN.md §3.15): snapshot payload round
 // trips, poll-atomic tail discard, config-free epoch replay, and the
 // regression pinning replayed evictions bitwise to live evictions
-// while the vocabulary interner keeps growing past evicted records.
+// while the vocabulary interner keeps growing past evicted records,
+// and the rejection of counts too large for the payload that holds
+// them.
 
 #include "online/durable_state.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -185,14 +188,8 @@ TEST(DurableReplay, UnsealedTailIsDiscarded)
     ASSERT_TRUE(info.ok) << info.error;
     EXPECT_EQ(info.discardedTailFrames, 2u);
     EXPECT_EQ(info.pollsReplayed, 4u);
-    EXPECT_EQ(online::servingStateFingerprint(
-                  state.store, state.detector, state.incidents,
-                  state.watermarkUs, state.tracesStored,
-                  state.lastRecordId),
-              online::servingStateFingerprint(
-                  clean.store, clean.detector, clean.incidents,
-                  clean.watermarkUs, clean.tracesStored,
-                  clean.lastRecordId));
+    EXPECT_EQ(online::servingStateFingerprint(state),
+              online::servingStateFingerprint(clean));
 }
 
 TEST(DurableReplay, EpochRecordDrivesConfigFreeReplay)
@@ -235,14 +232,8 @@ TEST(DurableReplay, SnapshotPayloadRoundTripExact)
     std::string err;
     ASSERT_TRUE(online::decodeSnapshotPayload(payload, &back, &err))
         << err;
-    EXPECT_EQ(online::servingStateFingerprint(
-                  back.store, back.detector, back.incidents,
-                  back.watermarkUs, back.tracesStored,
-                  back.lastRecordId),
-              online::servingStateFingerprint(
-                  state.store, state.detector, state.incidents,
-                  state.watermarkUs, state.tracesStored,
-                  state.lastRecordId));
+    EXPECT_EQ(online::servingStateFingerprint(back),
+              online::servingStateFingerprint(state));
 
     // The payload's own guarantees (the file-level CRC in snapshot.cc
     // guards raw rot): a length mismatch fails structurally, and a
@@ -265,4 +256,76 @@ TEST(DurableReplay, SnapshotPayloadRoundTripExact)
     err.clear();
     EXPECT_FALSE(online::decodeSnapshotPayload(mutated, &out, &err));
     EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
+}
+
+TEST(DurableReplay, OversizedCountsFailBeforeAllocating)
+{
+    // A snapshot whose CRC matches can still carry any count. Every
+    // count that sizes a container is checked against the unread bytes
+    // before the container grows, so a count of 0xFFFFFFFF is a
+    // section error instead of a multi-gigabyte allocation.
+    LiveRun live = buildLiveRun(3);
+    online::RecoveryInfo info;
+    online::DurableServingState state = online::replayRecoveredLog(
+        asLog(live.frames), online::DetectorConfig{}, {}, &info);
+    ASSERT_TRUE(info.ok) << info.error;
+
+    // The incident-count bound is the smallest encoded incident.
+    util::BinaryWriter empty;
+    online::encodeIncident(empty, online::Incident{});
+    EXPECT_EQ(empty.size(), online::kMinEncodedIncidentBytes);
+
+    // Marker values locate the two counts in the byte image: the
+    // incident count directly precedes the first incident's id, and
+    // the perTrace count directly follows normalsConsidered.
+    constexpr uint64_t kIdMarker = 0x1d1d1d1d1d1d1d1dULL;
+    constexpr uint64_t kNormalsMarker = 0x5eed5eed5eed5eedULL;
+    online::Incident incident;
+    incident.id = kIdMarker;
+    incident.state = online::Incident::State::Analyzed;
+    incident.endpoints = {"svc-2/op-2"};
+    incident.anomalousTraces = {makeTrace(2)};
+    incident.slos = {2'000};
+    incident.normalsConsidered = kNormalsMarker;
+    incident.rca.perTrace.resize(1);
+    incident.rca.perTrace[0].services = {"svc-2"};
+    incident.rca.perTrace[0].resolved = true;
+    incident.rankedRootCauses = {{"svc-2", 1}};
+    state.incidents.push_back(incident);
+    std::string payload = online::encodeSnapshotPayload(state);
+
+    online::DurableServingState out;
+    std::string err;
+    ASSERT_TRUE(online::decodeSnapshotPayload(payload, &out, &err))
+        << err;
+
+    auto offsetOf = [&](uint64_t marker) {
+        std::string bytes(sizeof marker, '\0');
+        std::memcpy(bytes.data(), &marker, sizeof marker);
+        return payload.find(bytes);
+    };
+    size_t idAt = offsetOf(kIdMarker);
+    size_t normalsAt = offsetOf(kNormalsMarker);
+    ASSERT_NE(idAt, std::string::npos);
+    ASSERT_NE(normalsAt, std::string::npos);
+    struct Count
+    {
+        const char *name;
+        size_t offset;
+        uint32_t value;
+    };
+    for (const Count &c : {Count{"incidents", idAt - 4, 1},
+                           Count{"perTrace", normalsAt + 8, 1}}) {
+        uint32_t stored = 0;
+        std::memcpy(&stored, payload.data() + c.offset, 4);
+        ASSERT_EQ(stored, c.value) << c.name;
+
+        std::string patched = payload;
+        uint32_t huge = 0xFFFFFFFFu;
+        std::memcpy(patched.data() + c.offset, &huge, 4);
+        err.clear();
+        EXPECT_FALSE(online::decodeSnapshotPayload(patched, &out, &err))
+            << c.name;
+        EXPECT_EQ(err, "corrupt snapshot incident section") << c.name;
+    }
 }

@@ -1,22 +1,19 @@
 // Tests pinning incremental counterfactual propagation
 // (SleuthGnn::propagateFrom) to the full bottom-up propagate: identical
-// predictions on every node under random interventions, and identical
-// RCA verdicts with the incremental path on or off.
+// predictions on every node under single-node, random multi-node and
+// all-dirty interventions.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/counterfactual.h"
 #include "core/gnn.h"
-#include "core/trainer.h"
 #include "sim/simulator.h"
 #include "synth/generator.h"
-#include "test_helpers.h"
+#include "trace/trace.h"
 
 using namespace sleuth;
 using namespace sleuth::core;
-using sleuth::testing::makeSpan;
 
 namespace {
 
@@ -164,110 +161,5 @@ TEST(PropagateFrom, AllNodesDirtyMatchesFullPropagate)
         TracePrediction inc =
             model.propagateFrom(b, g, states, base, dirty);
         expectSamePrediction(inc, full);
-    }
-}
-
-namespace {
-
-/** Trained fixture mirroring counterfactual_test: two-level traces
- *  with an optionally inflated/erroring backend. */
-struct RcaFixture
-{
-    FeatureEncoder encoder{8};
-    SleuthGnn model;
-    NormalProfile profile;
-
-    RcaFixture()
-        : model([] {
-              GnnConfig c;
-              c.embedDim = 8;
-              c.hidden = 16;
-              c.seed = 2;
-              return c;
-          }())
-    {
-        util::Rng rng(3);
-        std::vector<trace::Trace> corpus;
-        for (int i = 0; i < 120; ++i)
-            corpus.push_back(makeTrace(rng, i >= 100));
-        for (const trace::Trace &t : corpus)
-            profile.add(t);
-        profile.finalize();
-        TrainConfig tc;
-        tc.epochs = 6;
-        tc.tracesPerBatch = 8;
-        Trainer trainer(model, encoder, tc);
-        trainer.train(corpus);
-    }
-
-    static trace::Trace
-    makeTrace(util::Rng &rng, bool slow = false,
-              bool backend_error = false)
-    {
-        int64_t backend = rng.uniformInt(150, 300) * (slow ? 10 : 1);
-        int64_t net = rng.uniformInt(20, 50);
-        int64_t front_pre = rng.uniformInt(50, 120);
-        int64_t front_post = rng.uniformInt(30, 80);
-        trace::Trace t;
-        t.traceId = "t";
-        int64_t c_start = front_pre;
-        int64_t s_start = c_start + net;
-        int64_t s_end = s_start + backend;
-        int64_t c_end = s_end + net;
-        t.spans.push_back(makeSpan("r", "", "frontend", "Handle", 0,
-                                   c_end + front_post));
-        t.spans.push_back(makeSpan("c", "r", "frontend", "GetItem",
-                                   c_start, c_end,
-                                   trace::SpanKind::Client,
-                                   backend_error
-                                       ? trace::StatusCode::Error
-                                       : trace::StatusCode::Ok));
-        t.spans.push_back(makeSpan("s", "c", "backend", "GetItem",
-                                   s_start, s_end,
-                                   trace::SpanKind::Server,
-                                   backend_error
-                                       ? trace::StatusCode::Error
-                                       : trace::StatusCode::Ok));
-        return t;
-    }
-};
-
-RcaFixture &
-rcaFixture()
-{
-    static RcaFixture f;
-    return f;
-}
-
-} // namespace
-
-TEST(PropagateFrom, RcaVerdictsIdenticalWithAndWithoutIncremental)
-{
-    RcaFixture &f = rcaFixture();
-    util::Rng rng(42);
-    for (int i = 0; i < 8; ++i) {
-        bool slow = i % 2 == 0;
-        bool err = i % 3 == 0;
-        trace::Trace t = RcaFixture::makeTrace(rng, slow, err);
-        if (err)
-            t.spans[0].status = trace::StatusCode::Error;
-        for (int64_t slo : {int64_t{900}, int64_t{100000}}) {
-            RcaParams inc_on;
-            inc_on.incrementalPropagation = true;
-            RcaParams inc_off;
-            inc_off.incrementalPropagation = false;
-            CounterfactualRca rca_inc(f.model, f.encoder, f.profile,
-                                      inc_on);
-            CounterfactualRca rca_full(f.model, f.encoder, f.profile,
-                                       inc_off);
-            RcaResult a = rca_inc.analyze(t, slo);
-            RcaResult b = rca_full.analyze(t, slo);
-            EXPECT_EQ(a.services, b.services);
-            EXPECT_EQ(a.resolved, b.resolved);
-            EXPECT_EQ(a.iterations, b.iterations);
-            EXPECT_EQ(a.pods, b.pods);
-            EXPECT_EQ(a.nodes, b.nodes);
-            EXPECT_EQ(a.containers, b.containers);
-        }
     }
 }
