@@ -148,8 +148,7 @@ SageRca::predict(const std::string &key,
     nn::Tensor row(1, 5);
     for (size_t c = 0; c < 5; ++c)
         row.at(0, c) = in[c];
-    nn::Tensor out =
-        it->second.mlp->forward(nn::constant(std::move(row)))->value();
+    nn::Tensor out = it->second.mlp->infer(row);
     double err = 1.0 / (1.0 + std::exp(-out.at(0, 1)));
     double correction = std::clamp(out.at(0, 0), -0.3, 0.3);
     return {base + correction, err};

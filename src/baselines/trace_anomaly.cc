@@ -118,9 +118,8 @@ TraceAnomalyRca::fit(const std::vector<trace::Trace> &corpus)
     }
 
     // --- Per-dimension residual scale for the three-sigma rule. ---
-    nn::Var enc = encoder_->forward(x);
-    nn::Var mu = nn::sliceCols(enc, 0, config_.latent);
-    nn::Tensor recon = decoder_->forward(mu)->value();
+    nn::Tensor recon = decoder_->infer(
+        encoder_->infer(data).sliceCols(0, config_.latent));
     residualStd_.assign(dims, 1e-9);
     std::vector<double> mean(dims, 0.0);
     for (size_t r = 0; r < corpus.size(); ++r)
@@ -146,9 +145,8 @@ TraceAnomalyRca::locate(const trace::Trace &anomaly, int64_t slo_us)
     nn::Tensor row(1, v.size());
     for (size_t c = 0; c < v.size(); ++c)
         row.at(0, c) = v[c];
-    nn::Var enc = encoder_->forward(nn::constant(row));
-    nn::Var mu = nn::sliceCols(enc, 0, config_.latent);
-    nn::Tensor recon = decoder_->forward(mu)->value();
+    nn::Tensor recon = decoder_->infer(
+        encoder_->infer(row).sliceCols(0, config_.latent));
 
     // Anomalous dims by the three-sigma rule on residuals (one-sided:
     // the observed duration exceeds the reconstructed normal).

@@ -46,7 +46,7 @@ DeepSvdd::train(const std::vector<std::vector<double>> &xs, int epochs,
 
     // Fix the hypersphere center at the mean initial embedding (the
     // Deep SVDD recipe; a trainable center admits the trivial collapse).
-    nn::Tensor first = encode(input)->value();
+    nn::Tensor first = encoder_.infer(input->value());
     center_.assign(embed_dim, 0.0);
     for (size_t i = 0; i < first.rows(); ++i)
         for (size_t j = 0; j < embed_dim; ++j)
@@ -84,8 +84,7 @@ DeepSvdd::embedVector(const std::vector<double> &x) const
     nn::Tensor t(1, x.size());
     for (size_t j = 0; j < x.size(); ++j)
         t.at(0, j) = x[j];
-    nn::Tensor out = encode(nn::constant(t))->value();
-    return out.data();
+    return encoder_.infer(t).data();
 }
 
 double

@@ -125,29 +125,51 @@ CounterfactualRca::analyze(const trace::Trace &trace, int64_t slo_us,
                               slo_us, 1)) *
                           bias * params_.sloSlack;
 
+    // Restoring a service restores its own spans and the client /
+    // producer spans calling into it (client-side symptoms clear when
+    // the callee recovers). Map each candidate the loop can reach to
+    // those span indices once; a per-span mark then makes each
+    // iteration touch only the spans its new service adds.
     size_t limit = std::min(params_.maxRootCauses, ranked.size());
-    std::set<std::string> restored;
-    for (size_t k = 0; k < limit; ++k) {
-        restored.insert(ranked[k].service);
-        result.services.push_back(ranked[k].service);
+    std::unordered_map<std::string, size_t> rank_of;
+    for (size_t k = 0; k < limit; ++k)
+        rank_of.emplace(ranked[k].service, k);
+    std::vector<std::vector<size_t>> restores(limit);
+    auto restores_span = [&](const std::string &svc, size_t i) {
+        auto it = rank_of.find(svc);
+        if (it != rank_of.end())
+            restores[it->second].push_back(i);
+    };
+    for (size_t i = 0; i < n; ++i) {
+        const trace::Span &s = trace.spans[i];
+        restores_span(s.service, i);
+        if (s.kind == trace::SpanKind::Client ||
+            s.kind == trace::SpanKind::Producer)
+            for (int c : graph.children(static_cast<int>(i)))
+                restores_span(trace.spans[static_cast<size_t>(c)].service,
+                              i);
+    }
 
-        std::vector<NodeState> states = observed;
-        std::vector<int> dirty;
-        for (size_t i = 0; i < n; ++i) {
-            const trace::Span &s = trace.spans[i];
-            bool restore = restored.count(s.service) > 0;
-            if (!restore && (s.kind == trace::SpanKind::Client ||
-                             s.kind == trace::SpanKind::Producer)) {
-                // Client-side symptoms clear when the callee recovers.
-                for (int c : graph.children(static_cast<int>(i)))
-                    restore |= restored.count(
-                        trace.spans[static_cast<size_t>(c)].service) >
-                        0;
-            }
-            if (!restore)
+    // Restoration only ever adds spans, so the intervened states, the
+    // dirty list and the count of remaining exclusive errors carry
+    // over from one iteration to the next.
+    std::vector<char> restored(n, 0);
+    std::vector<NodeState> states = observed;
+    std::vector<int> dirty;
+    size_t residual_excl_errs = 0;
+    for (const NodeState &st : observed)
+        residual_excl_errs += st.exclusiveErr > 0.5 ? 1 : 0;
+    for (size_t k = 0; k < limit; ++k) {
+        result.services.push_back(ranked[k].service);
+        for (size_t i : restores[k]) {
+            if (restored[i])
                 continue;
+            restored[i] = 1;
+            const trace::Span &s = trace.spans[i];
             double normal = profile_.medianExclusiveUs(
                 s.service, s.name, s.kind);
+            if (states[i].exclusiveErr > 0.5)
+                --residual_excl_errs;
             states[i].exclusiveUs =
                 std::min(states[i].exclusiveUs, normal);
             states[i].exclusiveErr = 0.0;
@@ -163,13 +185,10 @@ CounterfactualRca::analyze(const trace::Trace &trace, int64_t slo_us,
         // Error check: model-predicted recovery, or — analytically —
         // no exclusive error remains anywhere after the restoration,
         // so the trace has no error origin left.
-        bool residual_excl_err = false;
-        for (const NodeState &st : states)
-            residual_excl_err |= st.exclusiveErr > 0.5;
         bool error_ok =
             pred.rootErrorProb < params_.errorThreshold ||
             pred.rootErrorProb < 0.5 * baseline.rootErrorProb ||
-            !residual_excl_err;
+            residual_excl_errs == 0;
         if (latency_ok && error_ok) {
             result.resolved = true;
             break;

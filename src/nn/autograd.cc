@@ -145,14 +145,8 @@ mul(const Var &a, const Var &b)
 Var
 addRow(const Var &a, const Var &row)
 {
-    const Tensor &av = a->value();
-    const Tensor &rv = row->value();
-    SLEUTH_ASSERT(rv.rows() == 1 && rv.cols() == av.cols(),
-                  "addRow expects a 1xC row vector");
-    Tensor out = av;
-    for (size_t i = 0; i < av.rows(); ++i)
-        for (size_t j = 0; j < av.cols(); ++j)
-            out.at(i, j) += rv.at(0, j);
+    Tensor out = a->value();
+    out.addRowInPlace(row->value());
     return makeNode(std::move(out), anyRequiresGrad({a, row}), {a, row},
                     [a, row](Node &self) {
         const Tensor &g = self.grad();
@@ -245,25 +239,37 @@ maxElem(const Var &a, const Var &b)
 
 namespace {
 
-/** Shared scaffolding for unary elementwise ops with dy/dx = f(x, y). */
-template <typename Fwd, typename Bwd>
+/**
+ * Shared scaffolding for unary elementwise ops: `out` is the forward
+ * value y = f(a), and dy/dx = dydx(x, y). The backward pass reads y
+ * from the node itself, so no copy of it is kept.
+ */
+template <typename Bwd>
 Var
-unaryOp(const Var &a, Fwd fwd, Bwd dydx)
+unaryOp(const Var &a, Tensor out, Bwd dydx)
 {
-    Tensor out = a->value();
-    for (double &x : out.data())
-        x = fwd(x);
-    Tensor saved = out;
     return makeNode(std::move(out), a->requiresGrad(), {a},
-                    [a, saved = std::move(saved), dydx](Node &self) {
+                    [a, dydx](Node &self) {
         if (!a->requiresGrad())
             return;
         Tensor &ga = GradAccess::grad(*a);
         const Tensor &g = self.grad();
+        const Tensor &y = self.value();
         for (size_t i = 0; i < ga.size(); ++i)
             ga.data()[i] +=
-                g.data()[i] * dydx(a->value().data()[i], saved.data()[i]);
+                g.data()[i] * dydx(a->value().data()[i], y.data()[i]);
     });
+}
+
+/** Elementwise map of a's value: the forward of a unary op. */
+template <typename Fwd>
+Tensor
+mapped(const Var &a, Fwd fwd)
+{
+    Tensor out = a->value();
+    for (double &x : out.data())
+        x = fwd(x);
+    return out;
 }
 
 } // namespace
@@ -271,40 +277,44 @@ unaryOp(const Var &a, Fwd fwd, Bwd dydx)
 Var
 relu(const Var &a)
 {
-    return unaryOp(
-        a, [](double x) { return x > 0.0 ? x : 0.0; },
-        [](double x, double) { return x > 0.0 ? 1.0 : 0.0; });
+    Tensor out = a->value();
+    out.reluInPlace();
+    return unaryOp(a, std::move(out), [](double x, double) {
+        return x > 0.0 ? 1.0 : 0.0;
+    });
 }
 
 Var
 sigmoid(const Var &a)
 {
-    return unaryOp(
-        a, [](double x) { return 1.0 / (1.0 + std::exp(-x)); },
-        [](double, double y) { return y * (1.0 - y); });
+    Tensor out = a->value();
+    out.sigmoidInPlace();
+    return unaryOp(a, std::move(out),
+                   [](double, double y) { return y * (1.0 - y); });
 }
 
 Var
 tanhOp(const Var &a)
 {
-    return unaryOp(
-        a, [](double x) { return std::tanh(x); },
-        [](double, double y) { return 1.0 - y * y; });
+    Tensor out = a->value();
+    out.tanhInPlace();
+    return unaryOp(a, std::move(out),
+                   [](double, double y) { return 1.0 - y * y; });
 }
 
 Var
 expOp(const Var &a)
 {
-    return unaryOp(
-        a, [](double x) { return std::exp(x); },
-        [](double, double y) { return y; });
+    return unaryOp(a, mapped(a, [](double x) { return std::exp(x); }),
+                   [](double, double y) { return y; });
 }
 
 Var
 logOp(const Var &a, double eps)
 {
     return unaryOp(
-        a, [eps](double x) { return std::log(x > eps ? x : eps); },
+        a,
+        mapped(a, [eps](double x) { return std::log(x > eps ? x : eps); }),
         [eps](double x, double) { return x > eps ? 1.0 / x : 0.0; });
 }
 
@@ -312,7 +322,7 @@ Var
 pow10(const Var &a)
 {
     return unaryOp(
-        a, [](double x) { return std::pow(10.0, x); },
+        a, mapped(a, [](double x) { return std::pow(10.0, x); }),
         [](double, double y) { return y * kLn10; });
 }
 
@@ -320,7 +330,9 @@ Var
 log10Op(const Var &a, double eps)
 {
     return unaryOp(
-        a, [eps](double x) { return std::log10(x > eps ? x : eps); },
+        a,
+        mapped(a,
+               [eps](double x) { return std::log10(x > eps ? x : eps); }),
         [eps](double x, double) {
             return x > eps ? 1.0 / (x * kLn10) : 0.0;
         });
@@ -332,7 +344,10 @@ clamp(const Var &a, double lo, double hi)
     SLEUTH_ASSERT(lo <= hi, "clamp bounds");
     return unaryOp(
         a,
-        [lo, hi](double x) { return x < lo ? lo : (x > hi ? hi : x); },
+        mapped(a,
+               [lo, hi](double x) {
+                   return x < lo ? lo : (x > hi ? hi : x);
+               }),
         [lo, hi](double x, double) {
             return (x >= lo && x <= hi) ? 1.0 : 0.0;
         });
@@ -373,14 +388,8 @@ concatCols(const Var &a, const Var &b)
 Var
 sliceCols(const Var &a, size_t from, size_t to)
 {
-    const Tensor &av = a->value();
-    SLEUTH_ASSERT(from < to && to <= av.cols(), "sliceCols range");
-    Tensor out(av.rows(), to - from);
-    for (size_t i = 0; i < av.rows(); ++i)
-        for (size_t j = from; j < to; ++j)
-            out.at(i, j - from) = av.at(i, j);
-    return makeNode(std::move(out), a->requiresGrad(), {a},
-                    [a, from](Node &self) {
+    return makeNode(a->value().sliceCols(from, to), a->requiresGrad(),
+                    {a}, [a, from](Node &self) {
         if (!a->requiresGrad())
             return;
         Tensor &ga = GradAccess::grad(*a);

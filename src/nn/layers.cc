@@ -18,6 +18,14 @@ Linear::forward(const Var &x) const
     return addRow(matmul(x, weight_), bias_);
 }
 
+Tensor
+Linear::infer(const Tensor &x) const
+{
+    Tensor y = x.matmul(weight_->value());
+    y.addRowInPlace(bias_->value());
+    return y;
+}
+
 Mlp::Mlp(const std::vector<size_t> &widths, Activation hidden,
          util::Rng &rng)
     : hidden_(hidden)
@@ -36,6 +44,22 @@ Mlp::forward(Var x) const
             x = activate(x, hidden_);
     }
     return x;
+}
+
+Tensor
+Mlp::infer(const Tensor &x) const
+{
+    Tensor y = layers_.front().infer(x);
+    for (size_t i = 1; i < layers_.size(); ++i) {
+        switch (hidden_) {
+          case Activation::None: break;
+          case Activation::Relu: y.reluInPlace(); break;
+          case Activation::Sigmoid: y.sigmoidInPlace(); break;
+          case Activation::Tanh: y.tanhInPlace(); break;
+        }
+        y = layers_[i].infer(y);
+    }
+    return y;
 }
 
 std::vector<Var>

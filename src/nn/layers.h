@@ -3,7 +3,9 @@
 /**
  * @file
  * Neural-network building blocks on top of the autograd engine: linear
- * layers and multi-layer perceptrons with Xavier initialization.
+ * layers and multi-layer perceptrons with Xavier initialization. Each
+ * has two entry points: forward() builds the autograd graph for
+ * training, infer() computes the same values on plain tensors.
  */
 
 #include <string>
@@ -27,6 +29,12 @@ class Linear
 
     /** Forward pass: x is Nxin, the result is Nxout. */
     Var forward(const Var &x) const;
+
+    /**
+     * Inference pass: the value forward() computes, bitwise, on plain
+     * tensors (no autograd node is built).
+     */
+    Tensor infer(const Tensor &x) const;
 
     /** Trainable parameters (weight then bias). */
     std::vector<Var> parameters() const { return {weight_, bias_}; }
@@ -57,6 +65,14 @@ class Mlp
 
     /** Forward pass over a batch of rows. */
     Var forward(Var x) const;
+
+    /**
+     * Inference over a batch of rows: bitwise the value of
+     * forward(constant(x)), computed without building autograd nodes,
+     * closures or shared pointers. Every caller that needs no gradient
+     * uses this.
+     */
+    Tensor infer(const Tensor &x) const;
 
     /** All trainable parameters, in layer order. */
     std::vector<Var> parameters() const;

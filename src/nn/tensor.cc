@@ -1,5 +1,7 @@
 #include "tensor.h"
 
+#include <cmath>
+
 #include "util/simd.h"
 
 namespace sleuth::nn {
@@ -55,22 +57,58 @@ Tensor::scaleInPlace(double s)
     simd::scale(data_.data(), s, data_.size());
 }
 
+void
+Tensor::addRowInPlace(const Tensor &row)
+{
+    SLEUTH_ASSERT(row.rows_ == 1 && row.cols_ == cols_,
+                  "addRow expects a 1xC row vector");
+    for (size_t i = 0; i < rows_; ++i) {
+        double *r = &data_[i * cols_];
+        for (size_t j = 0; j < cols_; ++j)
+            r[j] += row.data_[j];
+    }
+}
+
+void
+Tensor::reluInPlace()
+{
+    for (double &x : data_)
+        x = x > 0.0 ? x : 0.0;
+}
+
+void
+Tensor::sigmoidInPlace()
+{
+    for (double &x : data_)
+        x = 1.0 / (1.0 + std::exp(-x));
+}
+
+void
+Tensor::tanhInPlace()
+{
+    for (double &x : data_)
+        x = std::tanh(x);
+}
+
+Tensor
+Tensor::sliceCols(size_t from, size_t to) const
+{
+    SLEUTH_ASSERT(from < to && to <= cols_, "sliceCols range");
+    Tensor out(rows_, to - from);
+    for (size_t i = 0; i < rows_; ++i)
+        for (size_t j = from; j < to; ++j)
+            out.data_[i * out.cols_ + (j - from)] = data_[i * cols_ + j];
+    return out;
+}
+
 Tensor
 Tensor::matmul(const Tensor &other) const
 {
     SLEUTH_ASSERT(cols_ == other.rows_, "matmul shape mismatch: ",
                   rows_, "x", cols_, " * ", other.rows_, "x", other.cols_);
     Tensor out(rows_, other.cols_);
-    for (size_t i = 0; i < rows_; ++i) {
-        for (size_t k = 0; k < cols_; ++k) {
-            double a = data_[i * cols_ + k];
-            if (a == 0.0)
-                continue;
-            const double *brow = &other.data_[k * other.cols_];
-            double *orow = &out.data_[i * other.cols_];
-            simd::axpy(orow, a, brow, other.cols_);
-        }
-    }
+    simd::matmul(data_.data(), rows_, cols_, other.data_.data(),
+                 other.cols_, out.data_.data());
     return out;
 }
 

@@ -88,7 +88,29 @@ class Tensor
     /** this *= scalar. */
     void scaleInPlace(double s);
 
-    /** Matrix product this x other. */
+    /** Add a 1 x cols() row vector to every row. */
+    void addRowInPlace(const Tensor &row);
+
+    /// @name Elementwise activations, in place
+    /// The autograd ops relu / sigmoid / tanhOp and Mlp::infer both
+    /// compute their forward values through these.
+    /// @{
+    /** x = max(x, 0) (x > 0 ? x : 0, so -0.0 and NaN map to 0). */
+    void reluInPlace();
+    /** x = 1 / (1 + e^-x). */
+    void sigmoidInPlace();
+    /** x = tanh(x). */
+    void tanhInPlace();
+    /// @}
+
+    /** The half-open column range [from, to) as a new tensor. */
+    Tensor sliceCols(size_t from, size_t to) const;
+
+    /**
+     * Matrix product this x other: one simd::matmul call (each element
+     * sums its products in ascending inner index, zeros of `this`
+     * skipped).
+     */
     Tensor matmul(const Tensor &other) const;
 
     /**

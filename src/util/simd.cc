@@ -120,6 +120,27 @@ dotRows4(const double *a, const double *b0, const double *b1,
     out[3] = s3;
 }
 
+void
+matmul(const double *a, size_t m, size_t k, const double *b, size_t n,
+       double *out)
+{
+    // The reference formulation: one axpy of b's row t per nonzero
+    // a[i][t], rows of the output filled in ascending t.
+    for (size_t i = 0; i < m; ++i) {
+        double *orow = out + i * n;
+        for (size_t j = 0; j < n; ++j)
+            orow[j] = 0.0;
+        for (size_t t = 0; t < k; ++t) {
+            const double ait = a[i * k + t];
+            if (ait == 0.0)
+                continue;
+            const double *brow = b + t * n;
+            for (size_t j = 0; j < n; ++j)
+                orow[j] += ait * brow[j];
+        }
+    }
+}
+
 double
 sortedIntersectMinSum(const uint64_t *ka, const double *wa, size_t na,
                       const uint64_t *kb, const double *wb, size_t nb)
@@ -251,6 +272,65 @@ dotRows4(const double *a, const double *b0, const double *b1,
     _mm256_storeu_pd(out, acc);
 }
 
+__attribute__((target("avx2"))) void
+matmul(const double *a, size_t m, size_t k, const double *b, size_t n,
+       double *out)
+{
+    // Same per-element operations as the scalar mirror; only the
+    // partial sums move from memory into registers. Each output row is
+    // covered by 16-column blocks (four accumulators), then 4-column
+    // blocks, then single columns, each running the full t loop.
+    for (size_t i = 0; i < m; ++i) {
+        const double *arow = a + i * k;
+        double *orow = out + i * n;
+        size_t j = 0;
+        for (; j + 16 <= n; j += 16) {
+            __m256d c0 = _mm256_setzero_pd();
+            __m256d c1 = _mm256_setzero_pd();
+            __m256d c2 = _mm256_setzero_pd();
+            __m256d c3 = _mm256_setzero_pd();
+            for (size_t t = 0; t < k; ++t) {
+                if (arow[t] == 0.0)
+                    continue;
+                const __m256d va = _mm256_set1_pd(arow[t]);
+                const double *bt = b + t * n + j;
+                c0 = _mm256_add_pd(
+                    c0, _mm256_mul_pd(va, _mm256_loadu_pd(bt)));
+                c1 = _mm256_add_pd(
+                    c1, _mm256_mul_pd(va, _mm256_loadu_pd(bt + 4)));
+                c2 = _mm256_add_pd(
+                    c2, _mm256_mul_pd(va, _mm256_loadu_pd(bt + 8)));
+                c3 = _mm256_add_pd(
+                    c3, _mm256_mul_pd(va, _mm256_loadu_pd(bt + 12)));
+            }
+            _mm256_storeu_pd(orow + j, c0);
+            _mm256_storeu_pd(orow + j + 4, c1);
+            _mm256_storeu_pd(orow + j + 8, c2);
+            _mm256_storeu_pd(orow + j + 12, c3);
+        }
+        for (; j + 4 <= n; j += 4) {
+            __m256d c = _mm256_setzero_pd();
+            for (size_t t = 0; t < k; ++t) {
+                if (arow[t] == 0.0)
+                    continue;
+                c = _mm256_add_pd(
+                    c, _mm256_mul_pd(_mm256_set1_pd(arow[t]),
+                                     _mm256_loadu_pd(b + t * n + j)));
+            }
+            _mm256_storeu_pd(orow + j, c);
+        }
+        for (; j < n; ++j) {
+            double c = 0.0;
+            for (size_t t = 0; t < k; ++t) {
+                if (arow[t] == 0.0)
+                    continue;
+                c += arow[t] * b[t * n + j];
+            }
+            orow[j] = c;
+        }
+    }
+}
+
 __attribute__((target("avx2"))) double
 sortedIntersectMinSum(const uint64_t *ka, const double *wa, size_t na,
                       const uint64_t *kb, const double *wb, size_t nb)
@@ -342,6 +422,13 @@ dotRows4(const double *a, const double *b0, const double *b1,
     scalar::dotRows4(a, b0, b1, b2, b3, n, out);
 }
 
+void
+matmul(const double *a, size_t m, size_t k, const double *b, size_t n,
+       double *out)
+{
+    scalar::matmul(a, m, k, b, n, out);
+}
+
 double
 sortedIntersectMinSum(const uint64_t *ka, const double *wa, size_t na,
                       const uint64_t *kb, const double *wb, size_t nb)
@@ -404,6 +491,16 @@ dotRows4(const double *a, const double *b0, const double *b1,
         avx2::dotRows4(a, b0, b1, b2, b3, n, out);
     else
         scalar::dotRows4(a, b0, b1, b2, b3, n, out);
+}
+
+void
+matmul(const double *a, size_t m, size_t k, const double *b, size_t n,
+       double *out)
+{
+    if (active())
+        avx2::matmul(a, m, k, b, n, out);
+    else
+        scalar::matmul(a, m, k, b, n, out);
 }
 
 double

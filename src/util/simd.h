@@ -93,6 +93,19 @@ void dotRows4(const double *a, const double *b0, const double *b1,
               double out[4]);
 
 /**
+ * Dense matrix product out = a · b, a m x k and b k x n, all row-major;
+ * out (m x n) is overwritten. Every element accumulates from +0.0 over
+ * t = 0..k-1 in ascending order, adding a[i][t] * b[t][j] (multiply,
+ * then add: no FMA) and skipping every t with a[i][t] == 0.0. That is
+ * exactly the per-(row, t) axpy formulation, so results are bitwise
+ * equal to it under any dispatch; the AVX2 body only changes where the
+ * partial sums live (16-column blocks of an output row stay in
+ * registers across the whole t loop).
+ */
+void matmul(const double *a, size_t m, size_t k, const double *b,
+            size_t n, double *out);
+
+/**
  * Sum of min(wa, wb) over the intersection of two strictly-ascending
  * unique key arrays (the weighted-Jaccard numerator). Accumulation
  * order: 4-key equal blocks add lanewise into four accumulators,
@@ -112,6 +125,8 @@ double dotBlocked(const double *a, const double *b, size_t n);
 void dotRows4(const double *a, const double *b0, const double *b1,
               const double *b2, const double *b3, size_t n,
               double out[4]);
+void matmul(const double *a, size_t m, size_t k, const double *b,
+            size_t n, double *out);
 double sortedIntersectMinSum(const uint64_t *ka, const double *wa,
                              size_t na, const uint64_t *kb,
                              const double *wb, size_t nb);
@@ -126,6 +141,8 @@ double dotBlocked(const double *a, const double *b, size_t n);
 void dotRows4(const double *a, const double *b0, const double *b1,
               const double *b2, const double *b3, size_t n,
               double out[4]);
+void matmul(const double *a, size_t m, size_t k, const double *b,
+            size_t n, double *out);
 double sortedIntersectMinSum(const uint64_t *ka, const double *wa,
                              size_t na, const uint64_t *kb,
                              const double *wb, size_t nb);

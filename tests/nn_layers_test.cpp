@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/layers.h"
 #include "nn/optim.h"
@@ -82,6 +83,34 @@ TEST(Mlp, SerializationRoundTrip)
     Tensor yb = b.forward(x)->value();
     for (size_t i = 0; i < ya.size(); ++i)
         EXPECT_NEAR(ya.data()[i], yb.data()[i], 1e-12);
+}
+
+TEST(Mlp, InferBitwiseEqualsForward)
+{
+    for (Activation act : {Activation::None, Activation::Relu,
+                           Activation::Sigmoid, Activation::Tanh}) {
+        sleuth::util::Rng rng(11);
+        Mlp mlp({6, 16, 16, 3}, act, rng);
+        // Nonzero biases, so the row broadcast is exercised too.
+        for (const Var &p : mlp.parameters())
+            for (double &v : p->mutableValue().data())
+                v += rng.uniform(-0.5, 0.5);
+        for (size_t rows : {size_t{1}, size_t{5}}) {
+            Tensor x(rows, 6);
+            for (double &v : x.data())
+                v = rng.uniform(-2.0, 2.0);
+            x.at(0, 2) = 0.0;  // a skipped zero in the first product
+            Tensor graph = mlp.forward(constant(x))->value();
+            Tensor direct = mlp.infer(x);
+            ASSERT_TRUE(direct.sameShape(graph));
+            EXPECT_EQ(std::memcmp(direct.data().data(),
+                                  graph.data().data(),
+                                  graph.size() * sizeof(double)),
+                      0)
+                << "activation " << static_cast<int>(act) << ", "
+                << rows << " row(s)";
+        }
+    }
 }
 
 TEST(Optim, SgdConvergesOnQuadratic)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "nn/tensor.h"
 #include "util/rng.h"
 
@@ -113,6 +116,36 @@ TEST(Tensor, MatmulTransposedBMatchesExplicitTranspose)
             for (size_t j = 0; j < fast.cols(); ++j)
                 EXPECT_NEAR(fast.at(i, j), ref.at(i, j), 1e-12);
     }
+}
+
+TEST(Tensor, AddRowAndActivationsInPlace)
+{
+    Tensor t(2, 3, {-1.0, 0.0, 2.0, 3.0, -0.5, 0.25});
+    t.addRowInPlace(Tensor(1, 3, {1.0, -1.0, 0.5}));
+    EXPECT_EQ(t.data(), (std::vector<double>{0.0, -1.0, 2.5, 4.0, -1.5,
+                                             0.75}));
+    Tensor r = t;
+    r.reluInPlace();
+    EXPECT_EQ(r.data(),
+              (std::vector<double>{0.0, 0.0, 2.5, 4.0, 0.0, 0.75}));
+    Tensor s = t;
+    s.sigmoidInPlace();
+    Tensor h = t;
+    h.tanhInPlace();
+    for (size_t i = 0; i < t.size(); ++i) {
+        EXPECT_DOUBLE_EQ(s.data()[i],
+                         1.0 / (1.0 + std::exp(-t.data()[i])));
+        EXPECT_DOUBLE_EQ(h.data()[i], std::tanh(t.data()[i]));
+    }
+}
+
+TEST(Tensor, SliceCols)
+{
+    Tensor t(2, 4, {1, 2, 3, 4, 5, 6, 7, 8});
+    Tensor s = t.sliceCols(1, 3);
+    EXPECT_EQ(s.rows(), 2u);
+    EXPECT_EQ(s.cols(), 2u);
+    EXPECT_EQ(s.data(), (std::vector<double>{2, 3, 6, 7}));
 }
 
 TEST(Tensor, Transposed)

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "distance/distance_matrix.h"
@@ -229,13 +231,50 @@ TEST(SimdKernels, MinSemanticsMatchMinpdOnTies)
     }
 }
 
+namespace {
+
+/**
+ * The per-(row, t) axpy formulation Tensor::matmul is pinned to: each
+ * output starts at +0.0 and adds a[i][t] * b[t][j] in ascending t,
+ * skipping a[i][t] == 0.0.
+ */
+std::vector<double>
+axpyMatmul(const nn::Tensor &a, const nn::Tensor &b)
+{
+    std::vector<double> out(a.rows() * b.cols(), 0.0);
+    for (size_t i = 0; i < a.rows(); ++i)
+        for (size_t t = 0; t < a.cols(); ++t) {
+            const double ait = a.at(i, t);
+            if (ait == 0.0)
+                continue;
+            for (size_t j = 0; j < b.cols(); ++j)
+                out[i * b.cols() + j] += ait * b.at(t, j);
+        }
+    return out;
+}
+
+bool
+bitwiseEqual(const std::vector<double> &x, const std::vector<double> &y)
+{
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) ==
+               0;
+}
+
+} // namespace
+
 TEST(SimdMatmul, BitwiseIdenticalAcrossDispatchAtTailSizes)
 {
     util::Rng rng(0xf6);
-    // Shapes straddling the 4-wide block in every dimension.
-    const size_t shapes[][3] = {{1, 1, 1},   {3, 7, 5},  {4, 8, 4},
-                                {5, 9, 7},   {8, 31, 9}, {9, 33, 8},
-                                {16, 16, 16}};
+    // Shapes straddling the 4-wide block in every dimension, a 16-column
+    // register block plus a 4-block and a single-column tail (3x20x37),
+    // and the GNN MLP's own layers for 1 and 7 child rows
+    // (36 -> 32 -> 32 -> 5).
+    const size_t shapes[][3] = {
+        {1, 1, 1},   {3, 7, 5},   {4, 8, 4},   {5, 9, 7},
+        {8, 31, 9},  {9, 33, 8},  {16, 16, 16}, {3, 20, 37},
+        {1, 36, 32}, {7, 36, 32}, {1, 32, 32}, {7, 32, 32},
+        {1, 32, 5},  {7, 32, 5}};
     for (const auto &sh : shapes) {
         nn::Tensor a(sh[0], sh[1]);
         nn::Tensor b(sh[1], sh[2]);
@@ -253,16 +292,55 @@ TEST(SimdMatmul, BitwiseIdenticalAcrossDispatchAtTailSizes)
         nn::Tensor mm_on = a.matmul(b);
         nn::Tensor ta_on = at.matmulTransposedA(b);
         nn::Tensor tb_on = a.matmulTransposedB(bt);
+        EXPECT_TRUE(bitwiseEqual(mm_on.data(), axpyMatmul(a, b)))
+            << "matmul vs axpy reference " << sh[0] << "x" << sh[1]
+            << "x" << sh[2];
         simd::ScopedForceScalar guard;
-        EXPECT_EQ(mm_on.data(), a.matmul(b).data())
+        EXPECT_TRUE(bitwiseEqual(mm_on.data(), a.matmul(b).data()))
             << "matmul " << sh[0] << "x" << sh[1] << "x" << sh[2];
-        EXPECT_EQ(ta_on.data(), at.matmulTransposedA(b).data())
+        EXPECT_TRUE(
+            bitwiseEqual(ta_on.data(), at.matmulTransposedA(b).data()))
             << "matmulTransposedA " << sh[0] << "x" << sh[1] << "x"
             << sh[2];
-        EXPECT_EQ(tb_on.data(), a.matmulTransposedB(bt).data())
+        EXPECT_TRUE(
+            bitwiseEqual(tb_on.data(), a.matmulTransposedB(bt).data()))
             << "matmulTransposedB " << sh[0] << "x" << sh[1] << "x"
             << sh[2];
     }
+
+    // Zero skip: columns 3 and 11 of A hold only 0.0 / -0.0 and the
+    // matching rows of B hold infinities in every column region (16-
+    // block, 4-block, single tail), and row 2 of A is all signed zeros.
+    // 0 * inf is NaN, so any path that multiplies a skipped zero shows.
+    nn::Tensor a(4, 20);
+    nn::Tensor b(20, 37);
+    for (double &x : a.data())
+        x = rng.uniform(-2.0, 2.0);
+    for (double &x : b.data())
+        x = rng.uniform(-2.0, 2.0);
+    for (size_t i = 0; i < a.rows(); ++i) {
+        a.at(i, 3) = i % 2 == 0 ? 0.0 : -0.0;
+        a.at(i, 11) = i % 2 == 0 ? -0.0 : 0.0;
+    }
+    for (size_t t = 0; t < a.cols(); ++t)
+        a.at(2, t) = t % 3 == 0 ? -0.0 : 0.0;
+    const double inf = std::numeric_limits<double>::infinity();
+    for (size_t j : {size_t{0}, size_t{5}, size_t{17}, size_t{31},
+                     size_t{33}, size_t{36}}) {
+        b.at(3, j) = inf;
+        b.at(11, j) = -inf;
+    }
+    nn::Tensor on = a.matmul(b);
+    for (double x : on.data())
+        EXPECT_TRUE(std::isfinite(x));
+    for (size_t j = 0; j < b.cols(); ++j) {
+        EXPECT_EQ(on.at(2, j), 0.0) << "all-zero row, column " << j;
+        EXPECT_FALSE(std::signbit(on.at(2, j)))
+            << "all-zero row, column " << j;
+    }
+    EXPECT_TRUE(bitwiseEqual(on.data(), axpyMatmul(a, b)));
+    simd::ScopedForceScalar guard;
+    EXPECT_TRUE(bitwiseEqual(on.data(), a.matmul(b).data()));
 }
 
 namespace {

@@ -2,7 +2,13 @@
 # Build and run the differential suites: every bitwise-equivalence /
 # guaranteed-superset contract in the tree, grouped under the ctest
 # label `differential` —
-#   - simd_test            scalar <-> AVX2 kernel equivalence
+#   - simd_test            scalar <-> AVX2 kernel equivalence, matmul
+#                          ≡ its axpy reference (zero skip included)
+#   - nn_tensor_test       tensor kernels and in-place helpers
+#   - nn_layers_test       Mlp::infer ≡ Mlp::forward, bitwise
+#   - core_gnn_test        GNN forward, training and propagation
+#   - gnn_incremental_test propagateFrom ≡ full propagate
+#   - counterfactual_test  counterfactual RCA verdicts
 #   - online_service_test  online <-> batch, 1/2/8-thread determinism
 #   - online_incremental_test  cached <-> uncached incident re-analysis
 #   - pruner_test          conservative pruned ≡ full pipeline
